@@ -45,7 +45,7 @@ func BenchmarkTable1VPSPopulate(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			inputs := core.TimingQueryInputs(name)
 			for i := 0; i < b.N; i++ {
-				if _, _, err := reg.Populate(world.Server, name, inputs); err != nil {
+				if _, _, err := reg.Populate(context.Background(), world.Server, name, inputs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -70,7 +70,7 @@ func BenchmarkTableSiteTimings(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				stats := &web.Stats{}
 				f := web.Counting(world.Server, stats)
-				if _, _, err := reg.Populate(f, name, inputs); err != nil {
+				if _, _, err := reg.Populate(context.Background(), f, name, inputs); err != nil {
 					b.Fatal(err)
 				}
 				pages = stats.Pages()
@@ -154,7 +154,7 @@ func BenchmarkCacheEffect(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			if _, _, err := sys.QueryString(query); err != nil {
+			if _, _, err := sys.QueryString(context.Background(), query); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -164,12 +164,12 @@ func BenchmarkCacheEffect(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := sys.QueryString(query); err != nil {
+		if _, _, err := sys.QueryString(context.Background(), query); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sys.QueryString(query); err != nil {
+			if _, _, err := sys.QueryString(context.Background(), query); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -206,7 +206,7 @@ func BenchmarkQuerySequentialVsParallel(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.StartTimer()
-					_, stats, err := sys.QueryString(q.q)
+					_, stats, err := sys.QueryString(context.Background(), q.q)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -237,7 +237,7 @@ func BenchmarkParseVsFetch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := expr.Execute(recorder, map[string]string{"Make": "ford"}); err != nil {
+	if _, _, err := expr.Execute(context.Background(), recorder, map[string]string{"Make": "ford"}); err != nil {
 		b.Fatal(err)
 	}
 	var total int
@@ -247,7 +247,7 @@ func BenchmarkParseVsFetch(b *testing.B) {
 
 	b.Run("fetch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := expr.Execute(world.Server, map[string]string{"Make": "ford"}); err != nil {
+			if _, _, err := expr.Execute(context.Background(), world.Server, map[string]string{"Make": "ford"}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -394,7 +394,7 @@ func BenchmarkHeadlineQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, _, err := sys.QueryString(query); err != nil {
+		if _, _, err := sys.QueryString(context.Background(), query); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -423,7 +423,7 @@ func BenchmarkDegradedQuery(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			res, _, err := sys.QueryString(query)
+			res, _, err := sys.QueryString(context.Background(), query)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -600,7 +600,7 @@ func BenchmarkPrunedQuery(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			res, qs, err := sys.QueryString(query)
+			res, qs, err := sys.QueryString(context.Background(), query)
 			if err != nil {
 				b.Fatal(err)
 			}

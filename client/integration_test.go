@@ -361,7 +361,7 @@ func TestClientStreamsRealAnswer(t *testing.T) {
 	if st.Err() != nil {
 		t.Fatal(st.Err())
 	}
-	res, _, err := wb.QueryString(carQuery)
+	res, _, err := wb.QueryString(context.Background(), carQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -105,7 +106,7 @@ func sampleURL(world *sites.World) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	rel, _, err := expr.Execute(world.Server, map[string]string{"Make": "ford", "Model": "escort"})
+	rel, _, err := expr.Execute(context.Background(), world.Server, map[string]string{"Make": "ford", "Model": "escort"})
 	if err != nil || rel.Len() == 0 {
 		return "", fmt.Errorf("sampling features url: %v", err)
 	}

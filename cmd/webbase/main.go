@@ -161,7 +161,7 @@ func main() {
 		defer cancel()
 	}
 	if *analyze {
-		out, err := sys.ExplainAnalyzeContext(ctx, parsed)
+		out, err := sys.ExplainAnalyze(ctx, parsed)
 		if err != nil {
 			fatal(err)
 		}
@@ -177,7 +177,7 @@ func main() {
 		tr    *webbase.Trace
 	)
 	if *traceFile != "" {
-		res, stats, tr, err = sys.QueryTraced(ctx, parsed)
+		res, stats, tr, err = sys.QueryStreamTraced(ctx, parsed, nil)
 	} else {
 		res, stats, err = sys.QueryContext(ctx, parsed)
 	}

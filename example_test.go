@@ -2,6 +2,7 @@ package webbase_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -23,9 +24,9 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, _, err := sys.QueryString(
-		"SELECT Make, Model, Year, Price, BBPrice " +
-			"WHERE Make = 'jaguar' AND Year >= 1993 AND Safety = 'good' " +
+	res, _, err := sys.QueryString(context.Background(),
+		"SELECT Make, Model, Year, Price, BBPrice "+
+			"WHERE Make = 'jaguar' AND Year >= 1993 AND Safety = 'good' "+
 			"AND Condition = 'good' AND Price < BBPrice")
 	if err != nil {
 		log.Fatal(err)
@@ -45,7 +46,7 @@ func Example_orderAndLimit() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, _, err := sys.QueryString(
+	res, _, err := sys.QueryString(context.Background(),
 		"SELECT Make, Model, Year, Price WHERE Make = 'saab' ORDER BY Price LIMIT 3")
 	if err != nil {
 		log.Fatal(err)

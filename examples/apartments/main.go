@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	world := webbase.NewApartmentWorld()
 	sys, err := webbase.NewApartments(webbase.Config{Fetcher: world.Server})
 	if err != nil {
@@ -29,7 +31,7 @@ func main() {
 		"AND Rent < MedianRent AND CrimeRate <= 5 ORDER BY Rent LIMIT 10"
 	fmt.Println("\nQuery:", query)
 
-	res, stats, err := sys.QueryString(query)
+	res, stats, err := sys.QueryString(ctx, query)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func main() {
 
 	// A fee-aware broker query: the planner routes it to the Brokered
 	// maximal object because only brokers report fees.
-	res2, _, err := sys.QueryString(
+	res2, _, err := sys.QueryString(ctx,
 		"SELECT Neighborhood, Rent, Fee WHERE Borough = 'manhattan' AND Bedrooms = 1 ORDER BY Fee LIMIT 5")
 	if err != nil {
 		log.Fatal(err)

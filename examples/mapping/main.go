@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -65,7 +66,7 @@ func main() {
 
 	// Execute for a different make/model than the one browsed: the map is
 	// general, not a macro replay.
-	rel, info, err := expr.Execute(world.Server, map[string]string{"Make": "toyota", "Model": "camry"})
+	rel, info, err := expr.Execute(context.Background(), world.Server, map[string]string{"Make": "toyota", "Model": "camry"})
 	if err != nil {
 		log.Fatal(err)
 	}

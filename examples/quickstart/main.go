@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func main() {
 
 	// The end-user interface is the structured universal relation: name
 	// the attributes you want and the conditions you have.
-	res, stats, err := sys.QueryString(
+	res, stats, err := sys.QueryString(context.Background(),
 		"SELECT Make, Model, Year, Price, Contact WHERE Make = 'ford' AND Model = 'escort'")
 	if err != nil {
 		log.Fatal(err)

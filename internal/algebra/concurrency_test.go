@@ -42,11 +42,11 @@ func TestParallelEvalMatchesSequential(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			seq, err := Eval(c.expr, carCatalog(), c.bound)
+			seq, err := Eval(context.Background(), c.expr, carCatalog(), c.bound)
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
-			par, err := EvalContext(parallelCtx(), c.expr, carCatalog(), c.bound)
+			par, err := Eval(parallelCtx(), c.expr, carCatalog(), c.bound)
 			if err != nil {
 				t.Fatalf("parallel: %v", err)
 			}
@@ -66,7 +66,7 @@ func TestParallelEvalSharedCatalog(t *testing.T) {
 		Left:  &Join{Left: scan("ads"), Right: scan("bluebook")},
 		Right: &Join{Left: scan("ads2"), Right: scan("bluebook")},
 	}
-	want, err := Eval(expr, cat, map[string]relation.Value{"Make": relation.String("ford")})
+	want, err := Eval(context.Background(), expr, cat, map[string]relation.Value{"Make": relation.String("ford")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestParallelEvalSharedCatalog(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				got, err := EvalContext(parallelCtx(), expr, cat,
+				got, err := Eval(parallelCtx(), expr, cat,
 					map[string]relation.Value{"Make": relation.String("ford")})
 				if err != nil {
 					t.Error(err)
@@ -105,7 +105,7 @@ func TestParallelUnionErrorSurface(t *testing.T) {
 	// succeed. The union must report the left failure either way.
 	expr := &Union{Left: scan("ads"), Right: scan("ads2")}
 	for _, ctx := range []context.Context{context.Background(), parallelCtx()} {
-		if _, err := EvalContext(ctx, expr, carCatalog(), nil); !errors.Is(err, ErrBindingUnsatisfied) {
+		if _, err := Eval(ctx, expr, carCatalog(), nil); !errors.Is(err, ErrBindingUnsatisfied) {
 			t.Errorf("err = %v, want ErrBindingUnsatisfied", err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestParallelRelaxedUnionPartialAnswer(t *testing.T) {
 	cat.Add(free)
 
 	for _, ctx := range []context.Context{context.Background(), parallelCtx()} {
-		rel, err := EvalContext(ctx, expr, cat, nil)
+		rel, err := Eval(ctx, expr, cat, nil)
 		if err != nil {
 			t.Fatalf("relaxed union: %v", err)
 		}
@@ -137,7 +137,7 @@ func TestEvalContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cat := carCatalog()
-	_, err := EvalContext(ctx, scan("zips"), cat, nil)
+	_, err := Eval(ctx, scan("zips"), cat, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -156,12 +156,12 @@ type cancellingCatalog struct {
 	count  int
 }
 
-func (c *cancellingCatalog) Populate(name string, inputs map[string]relation.Value) (*relation.Relation, error) {
+func (c *cancellingCatalog) Populate(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
 	c.mu.Lock()
 	c.count++
 	n := c.count
 	c.mu.Unlock()
-	rel, err := c.MemCatalog.Populate(name, inputs)
+	rel, err := c.MemCatalog.Populate(ctx, name, inputs)
 	if n >= c.after {
 		c.cancel()
 	}
@@ -189,7 +189,7 @@ func TestEvalCancellationStopsFurtherAccess(t *testing.T) {
 	cat := &cancellingCatalog{MemCatalog: mem, cancel: cancel, after: 2}
 
 	expr := UnionAll(scan("r1"), scan("r2"), scan("r3"), scan("r4"), scan("r5"), scan("r6"))
-	_, err := EvalContext(ctx, expr, cat, nil)
+	_, err := Eval(ctx, expr, cat, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

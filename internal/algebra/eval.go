@@ -12,22 +12,6 @@ import (
 	"webbase/internal/web"
 )
 
-// CatalogContext is optionally implemented by catalogs whose Populate can
-// honor cancellation: catalogs over the VPS thread the context all the way
-// into navigation execution, so a cancelled query stops fetching pages.
-type CatalogContext interface {
-	Catalog
-	PopulateContext(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error)
-}
-
-// populate routes through PopulateContext when the catalog supports it.
-func populate(ctx context.Context, cat Catalog, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
-	if cc, ok := cat.(CatalogContext); ok {
-		return cc.PopulateContext(ctx, name, inputs)
-	}
-	return cat.Populate(name, inputs)
-}
-
 // Eval evaluates the expression against the catalog. bound carries the
 // attribute values already known to the evaluator — the constants of
 // enclosing equality selections and, inside dependent joins, values taken
@@ -35,22 +19,16 @@ func populate(ctx context.Context, cat Catalog, name string, inputs map[string]r
 // with exactly those bindings, which is what lets VPS relations (only
 // accessible with mandatory attributes bound) be evaluated at all.
 //
-// Eval is the sequential entry point; EvalContext adds cancellation and
-// (through the context's Pool) bounded parallel evaluation.
-func Eval(e Expr, cat Catalog, bound map[string]relation.Value) (*relation.Relation, error) {
-	return EvalContext(context.Background(), e, cat, bound)
-}
-
-// EvalContext is Eval with a context. Cancellation is checked before every
-// base-relation access, so a cancelled query issues no further fetches and
-// returns ctx.Err(). When the context carries a Pool (WithPool), union
-// branches and dependent-join handle invocations evaluate concurrently,
-// bounded by the pool; results are merged in expression order, so the
-// answer is identical to the sequential one tuple for tuple. Errors keep
-// the sequential surface: of several failing parallel branches, the
-// leftmost branch's error is reported (sibling branches are not aborted
-// mid-flight, but their results are discarded).
-func EvalContext(ctx context.Context, e Expr, cat Catalog, bound map[string]relation.Value) (*relation.Relation, error) {
+// Cancellation is checked before every base-relation access, so a
+// cancelled query issues no further fetches and returns ctx.Err(). When
+// the context carries a Pool (WithPool), union branches and dependent-join
+// handle invocations evaluate concurrently, bounded by the pool; results
+// are merged in expression order, so the answer is identical to the
+// sequential one tuple for tuple. Errors keep the sequential surface: of
+// several failing parallel branches, the leftmost branch's error is
+// reported (sibling branches are not aborted mid-flight, but their results
+// are discarded).
+func Eval(ctx context.Context, e Expr, cat Catalog, bound map[string]relation.Value) (*relation.Relation, error) {
 	return evalSpanned(ctx, trace.Start(ctx, trace.KindOp, opLabel(e)), e, cat, bound)
 }
 
@@ -144,7 +122,7 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 				inputs[a] = v
 			}
 		}
-		return populate(ctx, cat, e.Relation, inputs)
+		return cat.Populate(ctx, e.Relation, inputs)
 
 	case *Select:
 		sub := bound
@@ -154,7 +132,7 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 			sub = cloneBound(bound)
 			sub[e.Cond.Attr] = e.Cond.Val
 		}
-		in, err := EvalContext(ctx, e.Input, cat, sub)
+		in, err := Eval(ctx, e.Input, cat, sub)
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +156,7 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 		}), nil
 
 	case *Project:
-		in, err := EvalContext(ctx, e.Input, cat, bound)
+		in, err := Eval(ctx, e.Input, cat, bound)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +177,7 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 				sub[a] = v
 			}
 		}
-		in, err := EvalContext(ctx, e.Input, cat, sub)
+		in, err := Eval(ctx, e.Input, cat, sub)
 		if err != nil {
 			return nil, err
 		}
@@ -271,11 +249,11 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 		return acc, nil
 
 	case *Diff:
-		l, err := EvalContext(ctx, e.Left, cat, bound)
+		l, err := Eval(ctx, e.Left, cat, bound)
 		if err != nil {
 			return nil, err
 		}
-		r, err := EvalContext(ctx, e.Right, cat, bound)
+		r, err := Eval(ctx, e.Right, cat, bound)
 		if err != nil {
 			return nil, err
 		}
@@ -349,7 +327,7 @@ func evalJoin(ctx context.Context, j *Join, cat Catalog, bound map[string]relati
 		return nil, err
 	}
 
-	acc, err := EvalContext(ctx, exprs[order[0]], cat, bound)
+	acc, err := Eval(ctx, exprs[order[0]], cat, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +351,7 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 
 	shared := nextSchema.Intersect(acc.Schema())
 	if len(shared) == 0 {
-		r, err := EvalContext(ctx, next, cat, bound)
+		r, err := Eval(ctx, next, cat, bound)
 		if err != nil {
 			return nil, err
 		}
@@ -462,7 +440,7 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 			}
 			inputs[a] = tuples[i][k]
 		}
-		part, err := EvalContext(ictx, next, cat, inputs)
+		part, err := Eval(ictx, next, cat, inputs)
 		if err != nil {
 			sp.EndErr(err)
 			return err

@@ -7,6 +7,7 @@
 package algebra
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -17,10 +18,12 @@ import (
 // binding sets (sets of mandatory attributes, one per handle), and their
 // population given input bindings. The VPS registry and the logical layer
 // both implement it, so algebra expressions compose across layers.
+// Populate receives the query's context: catalogs over the VPS thread it
+// into navigation, so a cancelled query stops fetching pages.
 type Catalog interface {
 	Schema(name string) (relation.Schema, error)
 	Bindings(name string) ([]relation.AttrSet, error)
-	Populate(name string, inputs map[string]relation.Value) (*relation.Relation, error)
+	Populate(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error)
 }
 
 // CmpOp is a comparison operator in a selection condition.

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -46,11 +47,11 @@ func TestOptimizePushesSelectionBelowUnionAndJoin(t *testing.T) {
 	}
 	// Equivalence on the restricted catalog (the constant still reaches
 	// the scans, so populate succeeds).
-	want, err := Eval(e, cat, nil)
+	want, err := Eval(context.Background(), e, cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Eval(opt, carCatalog(), nil)
+	got, err := Eval(context.Background(), opt, carCatalog(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +171,12 @@ func TestOptimizeEquivalenceProperty(t *testing.T) {
 		if _, err := e.Schema(cat); err != nil {
 			continue // random composition may be ill-typed; skip
 		}
-		want, err := Eval(e, cat, nil)
+		want, err := Eval(context.Background(), e, cat, nil)
 		if err != nil {
 			t.Fatalf("trial %d: eval original: %v\n%s", trial, err, e)
 		}
 		opt := Optimize(e, cat)
-		got, err := Eval(opt, cat, nil)
+		got, err := Eval(context.Background(), opt, cat, nil)
 		if err != nil {
 			t.Fatalf("trial %d: eval optimized: %v\n%s", trial, err, opt)
 		}

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -75,7 +76,7 @@ func TestRelaxedUnionEvalSkipsUnboundSides(t *testing.T) {
 	ru := &RelaxedUnion{Left: &Scan{Relation: "a"}, Right: &Scan{Relation: "b"}}
 
 	// X bound: only a answers.
-	rel, err := Eval(ru, cat, map[string]relation.Value{"X": relation.Int(1)})
+	rel, err := Eval(context.Background(), ru, cat, map[string]relation.Value{"X": relation.Int(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestRelaxedUnionEvalSkipsUnboundSides(t *testing.T) {
 		t.Errorf("rows = %d, want 1 (b skipped)", rel.Len())
 	}
 	// Both bound: both answer.
-	rel, err = Eval(ru, cat, map[string]relation.Value{
+	rel, err = Eval(context.Background(), ru, cat, map[string]relation.Value{
 		"X": relation.Int(1), "Y": relation.Int(10)})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +93,7 @@ func TestRelaxedUnionEvalSkipsUnboundSides(t *testing.T) {
 		t.Errorf("rows = %d", rel.Len())
 	}
 	// Nothing bound: both skipped → empty relation, not an error.
-	rel, err = Eval(ru, cat, nil)
+	rel, err = Eval(context.Background(), ru, cat, nil)
 	if err != nil {
 		t.Fatalf("relaxed union with no sides should be empty, got %v", err)
 	}
@@ -108,12 +109,12 @@ func TestEvalUnknownExprAndSchemaErrors(t *testing.T) {
 		Input: &Project{Input: scan("ads"), Attrs: []string{"Make"}},
 		Cond:  Condition{Attr: "Price", Op: LT, Val: relation.Int(5)},
 	}
-	if _, err := Eval(e, cat, map[string]relation.Value{"Make": relation.String("ford")}); err == nil {
+	if _, err := Eval(context.Background(), e, cat, map[string]relation.Value{"Make": relation.String("ford")}); err == nil {
 		t.Error("expected schema error")
 	}
 	// Rename evaluation after binding through new name.
 	r := &Rename{Input: scan("ads"), Mapping: map[string]string{"Price": "Cost"}}
-	rel, err := Eval(r, cat, map[string]relation.Value{"Make": relation.String("ford")})
+	rel, err := Eval(context.Background(), r, cat, map[string]relation.Value{"Make": relation.String("ford")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestEvalErrorPropagation(t *testing.T) {
 		&Join{Left: scan("ghost"), Right: scan("ads")},
 	}
 	for _, e := range bad {
-		if _, err := Eval(e, cat, bound); err == nil {
+		if _, err := Eval(context.Background(), e, cat, bound); err == nil {
 			t.Errorf("%s: expected error", e)
 		}
 	}

@@ -1,6 +1,7 @@
 package apartments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestMapsTranslateAndRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		rel, _, err := expr.Execute(w.Server, inputs)
+		rel, _, err := expr.Execute(context.Background(), w.Server, inputs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -71,7 +72,7 @@ func TestMapsTranslateAndRun(t *testing.T) {
 	}
 	// Oracles.
 	cr, _ := navmap.Translate(Maps()["cityRentals"])
-	rel, _, err := cr.Execute(w.Server, inputs)
+	rel, _, err := cr.Execute(context.Background(), w.Server, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +107,9 @@ func TestApartmentHeadlineQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := sys.QueryString(
-		"SELECT Neighborhood, Rent, MedianRent, CrimeRate, Contact " +
-			"WHERE Borough = 'brooklyn' AND Bedrooms = 2 " +
+	res, stats, err := sys.QueryString(context.Background(),
+		"SELECT Neighborhood, Rent, MedianRent, CrimeRate, Contact "+
+			"WHERE Borough = 'brooklyn' AND Bedrooms = 2 "+
 			"AND Rent < MedianRent AND CrimeRate <= 5 ORDER BY Rent")
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +139,7 @@ func TestBrokeredFeeQuery(t *testing.T) {
 	}
 	// Fee lives only in the Brokered relation: the planner must pick the
 	// Brokered maximal object.
-	res, _, err := sys.QueryString(
+	res, _, err := sys.QueryString(context.Background(),
 		"SELECT Neighborhood, Rent, Fee WHERE Borough = 'queens' AND Bedrooms = 1 AND Fee < 120")
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +167,7 @@ func TestListingsRelaxedUnion(t *testing.T) {
 	}
 	// Borough-only: aptFinder (mandatory Bedrooms radio) is skipped; only
 	// owner listings answer.
-	rel, err := sys.Logical.Populate("listings", map[string]relation.Value{
+	rel, err := sys.Logical.Populate(context.Background(), "listings", map[string]relation.Value{
 		"Borough": relation.String("bronx")})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +177,7 @@ func TestListingsRelaxedUnion(t *testing.T) {
 		t.Errorf("listings = %d, want %d (owner side only)", rel.Len(), want)
 	}
 	// Borough+Bedrooms: both sides answer.
-	rel2, err := sys.Logical.Populate("listings", map[string]relation.Value{
+	rel2, err := sys.Logical.Populate(context.Background(), "listings", map[string]relation.Value{
 		"Borough": relation.String("bronx"), "Bedrooms": relation.Int(1)})
 	if err != nil {
 		t.Fatal(err)

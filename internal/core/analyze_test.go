@@ -39,7 +39,7 @@ func tracedRun(t *testing.T, workers int) (*ur.Result, *QueryStats, *trace.Trace
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, qs, tr, err := wb.QueryTraced(context.Background(), q)
+	res, qs, tr, err := wb.QueryStreamTraced(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestExplainAnalyzeParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := wb.ExplainAnalyze(q)
+		out, err := wb.ExplainAnalyze(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,11 +206,11 @@ func TestQueryTracedMatchesUntraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := wb.Query(q)
+	plain, _, err := wb.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, _, tr, err := wb.QueryTraced(context.Background(), q)
+	traced, _, tr, err := wb.QueryStreamTraced(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestMetricsAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, _, err := wb.QueryString(wideCarQuery); err != nil {
+		if _, _, err := wb.QueryString(context.Background(), wideCarQuery); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"regexp"
 	"strings"
@@ -27,7 +28,7 @@ func chaosOutcome(t *testing.T, failEvery uint64, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := wb.QueryString(wideCarQuery)
+	res, _, err := wb.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		return "error: " + err.Error()
 	}
@@ -96,7 +97,7 @@ func chaosDriftOutcome(t *testing.T, failEvery uint64, workers int) string {
 	}
 	var sb strings.Builder
 	stage := func(name string) {
-		res, qs, err := wb.QueryString(wideCarQuery)
+		res, qs, err := wb.QueryString(context.Background(), wideCarQuery)
 		fmt.Fprintf(&sb, "=== %s (newsday=%s) ===\n", name, wb.SiteHealth().SiteState(sites.NewsdayHost))
 		if err != nil {
 			fmt.Fprintf(&sb, "error: %s\n", err)

@@ -64,11 +64,11 @@ func TestParallelQueryByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, q := range d.queries {
-				sres, _, err := seq.QueryString(q)
+				sres, _, err := seq.QueryString(context.Background(), q)
 				if err != nil {
 					t.Fatalf("sequential %s: %v", q, err)
 				}
-				pres, _, err := par.QueryString(q)
+				pres, _, err := par.QueryString(context.Background(), q)
 				if err != nil {
 					t.Fatalf("parallel %s: %v", q, err)
 				}
@@ -93,7 +93,7 @@ func TestParallelQueryOverFlakyWeb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := reliable.QueryString(q)
+	want, _, err := reliable.QueryString(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestParallelQueryOverFlakyWeb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := sys.QueryString(q)
+	got, _, err := sys.QueryString(context.Background(), q)
 	if err != nil {
 		t.Fatalf("parallel query over flaky web: %v", err)
 	}
@@ -146,7 +146,7 @@ func TestPopulateAllSiteErrorIsolation(t *testing.T) {
 		"Make": relation.String("ford"), "Model": relation.String("escort"),
 		"Condition": relation.String("good"),
 	}
-	results := wb.PopulateAll(TimingTableRelations, inputs)
+	results := wb.PopulateAll(context.Background(), TimingTableRelations, inputs)
 	if len(results) != len(TimingTableRelations) {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -201,7 +201,7 @@ func TestQueryCancellationStopsFetches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := full.QueryString(q); err != nil {
+	if _, _, err := full.QueryString(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	fullFetches := counter.n.Load()
@@ -216,7 +216,7 @@ func TestQueryCancellationStopsFetches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = wb.QueryStringContext(ctx, q)
+	_, _, err = wb.QueryString(ctx, q)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -259,9 +259,9 @@ func TestPopulateAllDuplicateNamesDeterministic(t *testing.T) {
 		}
 		return out
 	}
-	want := render(wb.PopulateSequential(rels, inputs))
+	want := render(wb.PopulateSequential(context.Background(), rels, inputs))
 	for i := 0; i < 5; i++ {
-		if got := render(wb.PopulateAll(rels, inputs)); got != want {
+		if got := render(wb.PopulateAll(context.Background(), rels, inputs)); got != want {
 			t.Fatalf("sweep %d ordering diverged:\n got %s\nwant %s", i, got, want)
 		}
 	}

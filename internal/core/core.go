@@ -5,7 +5,7 @@
 //
 // This is the system a user of the library instantiates: New builds the
 // standard used-car webbase over any fetcher (the in-process simulated
-// Web, an HTTP adapter, ...); Query answers ad hoc universal-relation
+// Web, an HTTP adapter, ...); QueryContext answers ad hoc universal-relation
 // queries end to end — UR planning → logical views → binding-aware
 // dependent joins → navigation-calculus execution → pages.
 package core
@@ -68,9 +68,6 @@ type Config struct {
 	// deterministic per-URL jitter. The zero value retries immediately
 	// (the historical behavior).
 	Backoff web.Backoff
-	// RetryBudget caps the total re-issued attempts any single query may
-	// spend across all of its fetches. 0 = unlimited.
-	RetryBudget int64
 	// Breaker, when non-nil, installs the per-host circuit breaker with
 	// this configuration (its Clock defaults to Config.Clock). nil
 	// disables the breaker. Note that breaker verdicts depend on fetch
@@ -182,7 +179,6 @@ type Webbase struct {
 	workers     int
 	clock       func() time.Time
 	metrics     *trace.Registry
-	retryBudget int64
 	hedgeBudget int64
 	strict      bool
 	prune       bool
@@ -249,9 +245,8 @@ func NewDomain(cfg Config, d Domain) (*Webbase, error) {
 	}
 	wb := &Webbase{stats: &web.Stats{}, workers: cfg.Workers,
 		clock: cfg.Clock, metrics: trace.NewRegistry(),
-		retryBudget: cfg.RetryBudget, hedgeBudget: cfg.HedgeBudget,
-		strict: cfg.Strict, prune: cfg.Prune, class: cfg.QueryClass,
-		sampleInputs: d.SampleInputs}
+		hedgeBudget: cfg.HedgeBudget, strict: cfg.Strict, prune: cfg.Prune,
+		class: cfg.QueryClass, sampleInputs: d.SampleInputs}
 	if wb.workers <= 0 {
 		wb.workers = runtime.GOMAXPROCS(0)
 	}
@@ -431,7 +426,8 @@ func (wb *Webbase) repairHost(host string) error {
 		if err != nil {
 			return fmt.Errorf("core: repairing %s: %w", host, err)
 		}
-		rel, _, err := expr.Execute(wb.repairFetcher, wb.sampleInputs)
+		// The health tracker's Repair callback carries no context.
+		rel, _, err := expr.Execute(context.TODO(), wb.repairFetcher, wb.sampleInputs)
 		if err != nil {
 			return fmt.Errorf("core: repairing %s: verifying %s: %w", host, ri.Name, err)
 		}
@@ -551,49 +547,14 @@ func (qs *QueryStats) String() string {
 		qs.Pages, qs.Bytes, qs.Elapsed, qs.Simulated, qs.CacheHits, qs.Deduped, qs.Retries, qs.StaleServed, qs.BreakerRejects, qs.DegradedObjects, qs.PeakInFlight, qs.LimiterWait, qs.AdmissionWait, qs.Hedges, qs.HedgeWins, qs.HedgesSuppressed, qs.BulkheadSheds, qs.BudgetSheds, qs.DriftDetected, qs.PrunedFetches)
 }
 
-// Query evaluates a universal relation query end to end. Evaluation runs
-// on up to Config.Workers goroutines; the answer is identical tuple for
-// tuple to sequential (Workers=1) evaluation.
-func (wb *Webbase) Query(q ur.Query) (*ur.Result, *QueryStats, error) {
-	return wb.QueryContext(context.Background(), q)
-}
-
-// QueryContext is Query with cancellation: once ctx is done, evaluation
-// stops issuing page fetches (in-flight fetches complete), every layer
-// unwinds, and ctx.Err() is returned. Use it to put deadlines on queries
-// over slow or hung sites.
+// QueryContext evaluates a universal relation query end to end. Evaluation
+// runs on up to Config.Workers goroutines; the answer is identical tuple
+// for tuple to sequential (Workers=1) evaluation. Once ctx is done,
+// evaluation stops issuing page fetches (in-flight fetches complete),
+// every layer unwinds, and ctx.Err() is returned. Use it to put deadlines
+// on queries over slow or hung sites.
 func (wb *Webbase) QueryContext(ctx context.Context, q ur.Query) (*ur.Result, *QueryStats, error) {
-	return wb.run(ctx, q)
-}
-
-// QueryTraced is QueryContext with execution tracing: the returned trace
-// holds one span per maximal object, algebra operator, dependent-join
-// invocation, handle execution and page fetch, annotated with actual
-// cardinalities and costs. The trace is returned even when the query
-// fails — a failed query's accesses are exactly what one wants to see.
-// Pass the trace to ExplainAnalyze for the rendered plan, or Export it as
-// JSON. Tracing adds spans but never changes the answer: the result is
-// tuple-for-tuple identical to QueryContext's.
-//
-// A query the admission gate sheds returns a nil trace: it never
-// executed, so there is nothing to trace. Admission happens before the
-// root span starts, so queue time never inflates the trace's timings
-// (it is reported separately in QueryStats.AdmissionWait).
-func (wb *Webbase) QueryTraced(ctx context.Context, q ur.Query) (*ur.Result, *QueryStats, *trace.Trace, error) {
-	wait, err := wb.admission.acquire(ctx, queryClassFrom(ctx, wb.class))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer wb.admission.release()
-	tr := trace.New(q.String(), wb.clock)
-	res, qs, err := wb.runAdmitted(trace.ContextWith(ctx, tr.Root), q, wait, nil)
-	if err != nil {
-		tr.Root.EndErr(err)
-		return nil, nil, tr, err
-	}
-	tr.Root.Set("tuples", int64(res.Relation.Len()))
-	tr.Root.End()
-	return res, qs, tr, nil
+	return wb.QueryStream(ctx, q, nil)
 }
 
 // QueryStream is QueryContext with incremental answer delivery: as each
@@ -604,24 +565,41 @@ func (wb *Webbase) QueryTraced(ctx context.Context, q ur.Query) (*ur.Result, *Qu
 // is byte-identical to the Result.Relation the call returns, whatever
 // Config.Workers is. Queries with ORDER BY or LIMIT deliver once,
 // buffered, after sort and truncation (see ur.ObjectDelivery.Buffered).
+// A nil sink returns the buffered answer only.
 func (wb *Webbase) QueryStream(ctx context.Context, q ur.Query, sink ur.ObjectSink) (*ur.Result, *QueryStats, error) {
-	wait, err := wb.admission.acquire(ctx, queryClassFrom(ctx, wb.class))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer wb.admission.release()
-	return wb.runAdmitted(ctx, q, wait, sink)
+	res, qs, _, err := wb.query(ctx, q, sink, false)
+	return res, qs, err
 }
 
-// QueryStreamTraced is QueryStream with execution tracing (see
-// QueryTraced). Like QueryTraced, a query the admission gate sheds
-// returns a nil trace; the sink never fires for a shed query.
+// QueryStreamTraced is QueryStream with execution tracing: the returned
+// trace holds one span per maximal object, algebra operator, dependent-join
+// invocation, handle execution and page fetch, annotated with actual
+// cardinalities and costs. The trace is returned even when the query
+// fails — a failed query's accesses are exactly what one wants to see.
+// Pass the trace to ExplainAnalyze for the rendered plan, or Export it as
+// JSON. Tracing adds spans but never changes the answer: the result is
+// tuple-for-tuple identical to QueryStream's.
+//
+// A query the admission gate sheds returns a nil trace and the sink never
+// fires: it never executed, so there is nothing to trace. Admission
+// happens before the root span starts, so queue time never inflates the
+// trace's timings (it is reported separately in QueryStats.AdmissionWait).
 func (wb *Webbase) QueryStreamTraced(ctx context.Context, q ur.Query, sink ur.ObjectSink) (*ur.Result, *QueryStats, *trace.Trace, error) {
+	return wb.query(ctx, q, sink, true)
+}
+
+// query is the one admission point of every query: it waits for the
+// gate, then evaluates, under a fresh trace when traced is set.
+func (wb *Webbase) query(ctx context.Context, q ur.Query, sink ur.ObjectSink, traced bool) (*ur.Result, *QueryStats, *trace.Trace, error) {
 	wait, err := wb.admission.acquire(ctx, queryClassFrom(ctx, wb.class))
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	defer wb.admission.release()
+	if !traced {
+		res, qs, err := wb.runAdmitted(ctx, q, wait, sink)
+		return res, qs, nil, err
+	}
 	tr := trace.New(q.String(), wb.clock)
 	res, qs, err := wb.runAdmitted(trace.ContextWith(ctx, tr.Root), q, wait, sink)
 	if err != nil {
@@ -631,17 +609,6 @@ func (wb *Webbase) QueryStreamTraced(ctx context.Context, q ur.Query, sink ur.Ob
 	tr.Root.Set("tuples", int64(res.Relation.Len()))
 	tr.Root.End()
 	return res, qs, tr, nil
-}
-
-// run is the common evaluation path of Query and QueryContext: admission,
-// then execution.
-func (wb *Webbase) run(ctx context.Context, q ur.Query) (*ur.Result, *QueryStats, error) {
-	wait, err := wb.admission.acquire(ctx, queryClassFrom(ctx, wb.class))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer wb.admission.release()
-	return wb.runAdmitted(ctx, q, wait, nil)
 }
 
 // runAdmitted evaluates an already-admitted query: per-query stats delta,
@@ -654,14 +621,11 @@ func (wb *Webbase) runAdmitted(ctx context.Context, q ur.Query, admissionWait ti
 	start := wb.now()
 	ctx = algebra.WithPool(ctx, algebra.NewPool(wb.workers))
 	// Per-query fault-tolerance state: the outage memo replays terminal
-	// site failures within this query; the retry budget (when configured)
-	// caps this query's total re-issued attempts; strict mode turns
-	// degradation back into fail-fast; the budget policy lets the UR
-	// layer mint one deadline budget per maximal object.
+	// site failures within this query; the hedge budget (when configured)
+	// caps this query's duplicate attempts; strict mode turns degradation
+	// back into fail-fast; the budget policy lets the UR layer mint one
+	// deadline budget per maximal object.
 	ctx = web.ContextWithOutageMemo(ctx, web.NewOutageMemo())
-	if wb.retryBudget > 0 {
-		ctx = web.ContextWithRetryBudget(ctx, web.NewRetryBudget(wb.retryBudget))
-	}
 	if wb.hedgeBudget > 0 {
 		ctx = web.ContextWithHedgeBudget(ctx, web.NewRetryBudget(wb.hedgeBudget))
 	}
@@ -685,7 +649,7 @@ func (wb *Webbase) runAdmitted(ctx context.Context, q ur.Query, admissionWait ti
 		pst = ur.NewPruneState(q)
 		ctx = prune.ContextWith(ctx, pst)
 	}
-	res, err := wb.UR.EvalStream(ctx, q, wb.Logical, sink)
+	res, err := wb.UR.Eval(ctx, q, wb.Logical, sink)
 	if err != nil {
 		wb.metrics.Counter("queries_failed_total").Add(1)
 		return nil, nil, err
@@ -759,12 +723,7 @@ func (wb *Webbase) observe(qs *QueryStats) {
 
 // QueryString parses and evaluates the CLI query syntax
 // (SELECT ... WHERE ...).
-func (wb *Webbase) QueryString(text string) (*ur.Result, *QueryStats, error) {
-	return wb.QueryStringContext(context.Background(), text)
-}
-
-// QueryStringContext is QueryString with cancellation.
-func (wb *Webbase) QueryStringContext(ctx context.Context, text string) (*ur.Result, *QueryStats, error) {
+func (wb *Webbase) QueryString(ctx context.Context, text string) (*ur.Result, *QueryStats, error) {
 	q, err := ur.ParseQuery(wb.UR, text)
 	if err != nil {
 		return nil, nil, err
@@ -842,19 +801,15 @@ type SiteResult struct {
 // sort, so the output sequence is deterministic even when the input lists
 // a relation more than once — the same slot-then-deterministic-merge
 // pattern the parallel union evaluator uses.
-func (wb *Webbase) PopulateAll(relations []string, inputs map[string]relation.Value) []SiteResult {
-	return wb.PopulateAllContext(context.Background(), relations, inputs)
-}
-
-// PopulateAllContext is PopulateAll with cancellation: sites not yet
-// started when ctx is done report ctx.Err() in their SiteResult, and
-// running navigations abort at their next page load.
-func (wb *Webbase) PopulateAllContext(ctx context.Context, relations []string, inputs map[string]relation.Value) []SiteResult {
+//
+// Sites not yet started when ctx is done report ctx.Err() in their
+// SiteResult, and running navigations abort at their next page load.
+func (wb *Webbase) PopulateAll(ctx context.Context, relations []string, inputs map[string]relation.Value) []SiteResult {
 	results := make([]SiteResult, len(relations))
 	sweepCtx := algebra.WithPool(ctx, algebra.NewPool(wb.workers))
 	errs := algebra.ForEach(sweepCtx, len(relations), false, func(i int) error {
 		name := relations[i]
-		rel, _, err := wb.Registry.PopulateContext(ctx, wb.fetcher, name, inputs)
+		rel, _, err := wb.Registry.Populate(ctx, wb.fetcher, name, inputs)
 		results[i] = SiteResult{Relation: name, Rel: rel, Err: err}
 		return nil
 	})
@@ -867,12 +822,12 @@ func (wb *Webbase) PopulateAllContext(ctx context.Context, relations []string, i
 	return results
 }
 
-// PopulateSequential is the sequential baseline of PopulateAll, used by
-// the parallelization experiment.
-func (wb *Webbase) PopulateSequential(relations []string, inputs map[string]relation.Value) []SiteResult {
+// PopulateSequential is the sequential baseline of PopulateAll: the
+// reference the tests compare the parallel sweep against.
+func (wb *Webbase) PopulateSequential(ctx context.Context, relations []string, inputs map[string]relation.Value) []SiteResult {
 	results := make([]SiteResult, len(relations))
 	for i, name := range relations {
-		rel, _, err := wb.Registry.Populate(wb.fetcher, name, inputs)
+		rel, _, err := wb.Registry.Populate(ctx, wb.fetcher, name, inputs)
 		results[i] = SiteResult{Relation: name, Rel: rel, Err: err}
 	}
 	sortSiteResults(results)

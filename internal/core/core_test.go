@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -46,7 +47,7 @@ func TestHeadlineQuery(t *testing.T) {
 			{Attr: "Price", Op: algebra.LT, Attr2: "BBPrice"},
 		},
 	}
-	res, stats, err := wb.Query(q)
+	res, stats, err := wb.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestHeadlineQuery(t *testing.T) {
 
 func TestQueryString(t *testing.T) {
 	wb, _ := newTestWebbase(t)
-	res, _, err := wb.QueryString(
+	res, _, err := wb.QueryString(context.Background(),
 		"SELECT Make, Model, Year, Price WHERE Make = 'ford' AND Model = 'escort' AND Year >= 1994")
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +89,7 @@ func TestQueryString(t *testing.T) {
 			t.Fatalf("year filter leaked: %v", tp)
 		}
 	}
-	if _, _, err := wb.QueryString("nonsense"); err == nil {
+	if _, _, err := wb.QueryString(context.Background(), "nonsense"); err == nil {
 		t.Error("bad query accepted")
 	}
 }
@@ -96,11 +97,11 @@ func TestQueryString(t *testing.T) {
 func TestQueryCacheEffect(t *testing.T) {
 	wb, _ := newTestWebbase(t)
 	q := "SELECT Make, Price WHERE Make = 'honda' AND Model = 'civic'"
-	_, first, err := wb.QueryString(q)
+	_, first, err := wb.QueryString(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, second, err := wb.QueryString(q)
+	_, second, err := wb.QueryString(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +123,8 @@ func TestPopulateAllMatchesSequential(t *testing.T) {
 		"Make": relation.String("ford"), "Model": relation.String("escort"),
 		"Condition": relation.String("good"),
 	}
-	par := wb.PopulateAll(rels, inputs)
-	seq := wb.PopulateSequential(rels, inputs)
+	par := wb.PopulateAll(context.Background(), rels, inputs)
+	seq := wb.PopulateSequential(context.Background(), rels, inputs)
 	if len(par) != len(seq) {
 		t.Fatalf("lengths differ: %d vs %d", len(par), len(seq))
 	}
@@ -312,14 +313,14 @@ func TestQueryOverFlakyWeb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := sys.QueryString(
+	res, _, err := sys.QueryString(context.Background(),
 		"SELECT Make, Model, Year, Price WHERE Make = 'ford' AND Model = 'escort'")
 	if err != nil {
 		t.Fatalf("query over flaky web failed: %v", err)
 	}
 	// Same answers as a reliable run.
 	reliable, _ := New(Config{Fetcher: w.Server})
-	want, _, err := reliable.QueryString(
+	want, _, err := reliable.QueryString(context.Background(),
 		"SELECT Make, Model, Year, Price WHERE Make = 'ford' AND Model = 'escort'")
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +343,7 @@ func TestQueryOverFlakyWebWithoutRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := sys.QueryString(
+	res, _, err := sys.QueryString(context.Background(),
 		"SELECT Make, Model, Year, Price WHERE Make = 'ford' AND Model = 'escort'")
 	if err != nil {
 		return // expected: the outage aborted evaluation
@@ -370,7 +371,7 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 	want := make([]int, len(queries))
 	for i, q := range queries {
-		res, _, err := wb.QueryString(q)
+		res, _, err := wb.QueryString(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -383,7 +384,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			q := queries[g%len(queries)]
-			res, _, err := wb.QueryString(q)
+			res, _, err := wb.QueryString(context.Background(), q)
 			if err != nil {
 				errs <- fmt.Errorf("%s: %w", q, err)
 				return
@@ -420,7 +421,7 @@ func TestSystemOracleProperty(t *testing.T) {
 					oracle[fmt.Sprintf("%d|%d", ad.Year, ad.Price)] = true
 				}
 			}
-			res, _, err := wb.QueryString(fmt.Sprintf(
+			res, _, err := wb.QueryString(context.Background(), fmt.Sprintf(
 				"SELECT Make, Model, Year, Price WHERE Make = '%s' AND Model = '%s'", mk, md))
 			if len(oracle) == 0 {
 				// No ads anywhere: the UR answer must be empty (query still

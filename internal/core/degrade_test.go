@@ -79,7 +79,7 @@ func relationLines(s string) map[string]bool {
 }
 
 // TestQueryDegradesOneSiteDown is the acceptance test for graceful
-// degradation: with one site terminally down, Query returns exactly the
+// degradation: with one site terminally down, a query returns exactly the
 // surviving objects' tuples plus a populated Degradation report, and both
 // are byte-identical at Workers=1 and Workers=8.
 func TestQueryDegradesOneSiteDown(t *testing.T) {
@@ -87,7 +87,7 @@ func TestQueryDegradesOneSiteDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, _, err := healthyWB.QueryString(wideCarQuery)
+	healthy, _, err := healthyWB.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestQueryDegradesOneSiteDown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, qs, err := wb.QueryString(wideCarQuery)
+		res, qs, err := wb.QueryString(context.Background(), wideCarQuery)
 		if err != nil {
 			t.Fatalf("workers=%d: degraded query failed outright: %v", workers, err)
 		}
@@ -167,7 +167,7 @@ func TestQueryStrictFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = wb.QueryString(wideCarQuery)
+	_, _, err = wb.QueryString(context.Background(), wideCarQuery)
 	if err == nil {
 		t.Fatal("strict query succeeded over a dead site")
 	}
@@ -214,7 +214,7 @@ func TestQueryStaleOnError(t *testing.T) {
 	clk.Advance(2 * time.Minute)
 	sw.down.Store(true)
 
-	res, qs, tr, err := wb.QueryTraced(context.Background(), q)
+	res, qs, tr, err := wb.QueryStreamTraced(context.Background(), q, nil)
 	if err != nil {
 		t.Fatalf("stale-on-error did not rescue the query: %v", err)
 	}
@@ -243,7 +243,7 @@ func TestQueryStaleOnError(t *testing.T) {
 
 	// The EXPLAIN ANALYZE footer reports the degraded, stale-served run.
 	clk.Advance(2 * time.Minute)
-	report, err := wb.ExplainAnalyze(q)
+	report, err := wb.ExplainAnalyze(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func deadlineOutcome(t *testing.T, workers int) (string, *ur.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := wb.QueryString(wideCarQuery)
+	res, _, err := wb.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		t.Fatalf("workers=%d: budget-limited query failed outright: %v", workers, err)
 	}
@@ -107,7 +107,7 @@ func TestDeadlineStrictSurfacesBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = wb.QueryString(wideCarQuery)
+	_, _, err = wb.QueryString(context.Background(), wideCarQuery)
 	if err == nil {
 		t.Fatal("strict budget-limited query succeeded")
 	}
@@ -136,7 +136,7 @@ func TestDeadlineExplainAnalyzeAnnotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := wb.ExplainAnalyze(q)
+	out, err := wb.ExplainAnalyze(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestHedgedDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := wb.QueryString(wideCarQuery)
+		res, _, err := wb.QueryString(context.Background(), wideCarQuery)
 		if err != nil {
 			t.Fatalf("hedge=%v workers=%d: %v", hedge, workers, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -81,7 +82,7 @@ func TestExplainAnalyzePrunedGoldenApartments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := wb.ExplainAnalyze(q)
+	out, err := wb.ExplainAnalyze(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestExplainAnalyzePrunedGoldenUsedCars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := wb.ExplainAnalyze(q)
+	out, err := wb.ExplainAnalyze(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestPruneMetricsAgreement(t *testing.T) {
 	var total int64
 	byReason := map[string]int64{}
 	for _, text := range queries {
-		_, qs, err := wb.QueryString(text)
+		_, qs, err := wb.QueryString(context.Background(), text)
 		if err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
@@ -183,7 +184,7 @@ func TestPruneMetricsAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, text := range queries {
-		if _, _, err := off.QueryString(text); err != nil {
+		if _, _, err := off.QueryString(context.Background(), text); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -36,7 +37,7 @@ func pruneChaosOutcome(t *testing.T, cfg Config, query string) pruneChaosResult 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := wb.QueryString(query)
+	res, _, err := wb.QueryString(context.Background(), query)
 	if err != nil {
 		return pruneChaosResult{fold: "error: " + err.Error()}
 	}
@@ -140,7 +141,7 @@ func TestPruneChaosStaleDrift(t *testing.T) {
 		}
 		var sb strings.Builder
 		stage := func(name string) {
-			res, qs, err := wb.QueryString(wideCarQuery)
+			res, qs, err := wb.QueryString(context.Background(), wideCarQuery)
 			fmt.Fprintf(&sb, "=== %s (newsday=%s) ===\n", name, wb.SiteHealth().SiteState(sites.NewsdayHost))
 			if err != nil {
 				fmt.Fprintf(&sb, "error: %s\n", err)
@@ -233,7 +234,7 @@ func TestPrunedBeforeFailureAbsentFromDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resOff, _, err := off.QueryString(q)
+	resOff, _, err := off.QueryString(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestPrunedBeforeFailureAbsentFromDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resOn, qs, err := on.QueryString(q)
+	resOn, qs, err := on.QueryString(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func TestPruneDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						res, qs, err := wb.QueryString(tc.query)
+						res, qs, err := wb.QueryString(context.Background(), tc.query)
 						if err != nil {
 							t.Fatalf("workers=%d prune=%v: %v", workers, prune, err)
 						}

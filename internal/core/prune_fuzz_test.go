@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -55,8 +56,8 @@ func FuzzPrunedQuery(f *testing.F) {
 		if err != nil {
 			return // not a runnable query; the parser fuzzer owns this space
 		}
-		resOff, _, errOff := off.Query(q)
-		resOn, qsOn, errOn := on.Query(q)
+		resOff, _, errOff := off.QueryContext(context.Background(), q)
+		resOn, qsOn, errOn := on.QueryContext(context.Background(), q)
 		// Pruning only removes fetches, so it can never introduce a
 		// failure. The converse is legal: a query whose every maximal
 		// object would fail (e.g. a nonsense constant that breaks

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -38,7 +39,7 @@ func selfHealWebbase(t *testing.T, workers int, rewrites ...web.Rewrite) (*Webba
 // comparable string.
 func queryOutcome(t *testing.T, wb *Webbase) string {
 	t.Helper()
-	res, qs, err := wb.QueryString(wideCarQuery)
+	res, qs, err := wb.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		return "error: " + err.Error()
 	}
@@ -98,7 +99,7 @@ func TestSelfHealEndToEnd(t *testing.T) {
 	wb, rd := selfHealWebbase(t, 4,
 		web.Rewrite{Old: ">Automobiles<", New: ">Cars and Trucks<"})
 
-	healthyRes, _, err := wb.QueryString(wideCarQuery)
+	healthyRes, _, err := wb.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestSelfHealEndToEnd(t *testing.T) {
 	wb.Cache().Clear()
 
 	// First post-redesign query: answers, degraded, kind=drift.
-	res, qs, err := wb.QueryString(wideCarQuery)
+	res, qs, err := wb.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		t.Fatalf("query errored instead of degrading: %v", err)
 	}
@@ -131,7 +132,7 @@ func TestSelfHealEndToEnd(t *testing.T) {
 	}
 
 	// Second observation confirms the drift and launches the remap.
-	if _, _, err := wb.QueryString(wideCarQuery); err != nil {
+	if _, _, err := wb.QueryString(context.Background(), wideCarQuery); err != nil {
 		t.Fatal(err)
 	}
 	wb.SiteHealth().Wait()
@@ -148,7 +149,7 @@ func TestSelfHealEndToEnd(t *testing.T) {
 
 	// Recovered: the full answer is back, byte for byte, against the
 	// redesigned site — and without another remap.
-	healedRes, qs, err := wb.QueryString(wideCarQuery)
+	healedRes, qs, err := wb.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestSelfHealEndToEnd(t *testing.T) {
 func TestSelfHealUnfixableSiteBoundsRepairs(t *testing.T) {
 	wb, rd := selfHealWebbase(t, 4,
 		web.Rewrite{Old: ">Price<", New: ">Asking<"})
-	if _, _, err := wb.QueryString(wideCarQuery); err != nil {
+	if _, _, err := wb.QueryString(context.Background(), wideCarQuery); err != nil {
 		t.Fatal(err)
 	}
 	rd.Activate()
@@ -194,7 +195,7 @@ func TestSelfHealUnfixableSiteBoundsRepairs(t *testing.T) {
 
 	// Two observations quarantine the site and launch the doomed repair.
 	for i := 0; i < 2; i++ {
-		if _, _, err := wb.QueryString(wideCarQuery); err != nil {
+		if _, _, err := wb.QueryString(context.Background(), wideCarQuery); err != nil {
 			t.Fatalf("query %d errored instead of degrading: %v", i, err)
 		}
 	}
@@ -216,7 +217,7 @@ func TestSelfHealUnfixableSiteBoundsRepairs(t *testing.T) {
 
 	// Further queries answer degraded from the quarantine short-circuit —
 	// without touching the site and without relaunching repair.
-	res, _, err := wb.QueryString(wideCarQuery)
+	res, _, err := wb.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		t.Fatalf("post-exhaustion query errored: %v", err)
 	}

@@ -80,7 +80,7 @@ func TestStoreDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer wb.Close()
-			_, qs, err := wb.QueryString(tc.query)
+			_, qs, err := wb.QueryString(context.Background(), tc.query)
 			if err != nil {
 				t.Fatal(err)
 			}

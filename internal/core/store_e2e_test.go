@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -46,7 +47,7 @@ func durableCarWebbase(t *testing.T, dir string, fetcher web.Fetcher, mut func(*
 func TestStoreRestartSurvivalWarmPages(t *testing.T) {
 	dir := t.TempDir()
 	wb1 := durableCarWebbase(t, dir, sites.BuildWorld().Server, nil)
-	res1, qs1, err := wb1.QueryString(wideCarQuery)
+	res1, qs1, err := wb1.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestStoreRestartSurvivalWarmPages(t *testing.T) {
 	// Restart: every page the first process fetched is served from the
 	// disk tier — the same answer with zero network fetches.
 	wb2 := durableCarWebbase(t, dir, sites.BuildWorld().Server, nil)
-	res2, qs2, err := wb2.QueryString(wideCarQuery)
+	res2, qs2, err := wb2.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +83,13 @@ func TestStoreRestartSurvivalHealedMap(t *testing.T) {
 	}
 	wb1 := durableCarWebbase(t, dir, rd1, nil)
 
-	if _, _, err := wb1.QueryString(wideCarQuery); err != nil {
+	if _, _, err := wb1.QueryString(context.Background(), wideCarQuery); err != nil {
 		t.Fatal(err)
 	}
 	rd1.Activate()
 	wb1.Cache().Clear()
 	for i := 0; i < 2; i++ { // two drift observations quarantine + repair
-		if _, _, err := wb1.QueryString(wideCarQuery); err != nil {
+		if _, _, err := wb1.QueryString(context.Background(), wideCarQuery); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,7 +97,7 @@ func TestStoreRestartSurvivalHealedMap(t *testing.T) {
 	if v, _ := wb1.Registry.MapVersion("newsday"); v != 2 {
 		t.Fatalf("site not healed before restart: map version %d", v)
 	}
-	healedRes, _, err := wb1.QueryString(wideCarQuery)
+	healedRes, _, err := wb1.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestStoreRestartSurvivalHealedMap(t *testing.T) {
 	if v, _ := wb2.Registry.MapVersion("newsday"); v != 2 {
 		t.Fatalf("restored map version = %d, want 2 at boot", v)
 	}
-	res, qs, err := wb2.QueryString(wideCarQuery)
+	res, qs, err := wb2.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +140,13 @@ func TestStoreRestartSurvivalQuarantine(t *testing.T) {
 		Rewrites: map[string][]web.Rewrite{sites.NewsdayHost: {{Old: ">Price<", New: ">Asking<"}}},
 	}
 	wb1 := durableCarWebbase(t, dir, rd1, nil)
-	if _, _, err := wb1.QueryString(wideCarQuery); err != nil {
+	if _, _, err := wb1.QueryString(context.Background(), wideCarQuery); err != nil {
 		t.Fatal(err)
 	}
 	rd1.Activate()
 	wb1.Cache().Clear()
 	for i := 0; i < 2; i++ {
-		if _, _, err := wb1.QueryString(wideCarQuery); err != nil {
+		if _, _, err := wb1.QueryString(context.Background(), wideCarQuery); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +171,7 @@ func TestStoreRestartSurvivalQuarantine(t *testing.T) {
 	if got := wb2.SiteHealth().Attempts(sites.NewsdayHost); got != 3 {
 		t.Errorf("restart reset the attempt budget: %d, want 3", got)
 	}
-	res, _, err := wb2.QueryString(wideCarQuery)
+	res, _, err := wb2.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		t.Fatalf("post-restart query errored instead of degrading: %v", err)
 	}
@@ -201,7 +202,7 @@ func TestStoreRestartSurvivalBreaker(t *testing.T) {
 	bcfg := &web.BreakerConfig{Window: 1, MinSamples: 1, Cooldown: time.Hour}
 	wb1 := durableCarWebbase(t, dir, downHost(sites.NewsdayHost, sites.BuildWorld().Server),
 		func(cfg *Config) { cfg.Breaker = bcfg })
-	if _, _, err := wb1.QueryString(wideCarQuery); err != nil {
+	if _, _, err := wb1.QueryString(context.Background(), wideCarQuery); err != nil {
 		t.Fatal(err)
 	}
 	if got := wb1.Breaker().State(sites.NewsdayHost); got != web.BreakerOpen {
@@ -217,7 +218,7 @@ func TestStoreRestartSurvivalBreaker(t *testing.T) {
 	if got := wb2.Breaker().State(sites.NewsdayHost); got != web.BreakerOpen {
 		t.Fatalf("restored circuit = %v, want open at boot", got)
 	}
-	res, qs, err := wb2.QueryString(wideCarQuery)
+	res, qs, err := wb2.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		t.Fatalf("post-restart query errored: %v", err)
 	}
@@ -255,13 +256,13 @@ func TestStoreCorruptionInjectionE2E(t *testing.T) {
 	wb1 := durableCarWebbase(t, dir, downHost(sites.NYTimesHost, rdBreakAgain), func(cfg *Config) {
 		cfg.Breaker = &web.BreakerConfig{Window: 1, MinSamples: 1, Cooldown: time.Hour}
 	})
-	if _, _, err := wb1.QueryString(wideCarQuery); err != nil {
+	if _, _, err := wb1.QueryString(context.Background(), wideCarQuery); err != nil {
 		t.Fatal(err)
 	}
 	rdHeal.Activate()
 	wb1.Cache().Clear()
 	for i := 0; i < 2; i++ {
-		if _, _, err := wb1.QueryString(wideCarQuery); err != nil {
+		if _, _, err := wb1.QueryString(context.Background(), wideCarQuery); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,7 +270,7 @@ func TestStoreCorruptionInjectionE2E(t *testing.T) {
 	rdBreakAgain.Activate()
 	wb1.Cache().Clear()
 	for i := 0; i < 2; i++ {
-		if _, _, err := wb1.QueryString(wideCarQuery); err != nil {
+		if _, _, err := wb1.QueryString(context.Background(), wideCarQuery); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -332,7 +333,7 @@ func TestStoreCorruptionInjectionE2E(t *testing.T) {
 		t.Errorf("corrupt map restored anyway: version %d", v)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := wb2.QueryString(wideCarQuery); err != nil {
+		if _, _, err := wb2.QueryString(context.Background(), wideCarQuery); err != nil {
 			t.Fatalf("query %d over corrupted state dir errored: %v", i, err)
 		}
 	}
@@ -352,7 +353,7 @@ func TestStoreCorruptionInjectionE2E(t *testing.T) {
 		}
 	}
 	// The system healed over the wreckage exactly as it would cold.
-	res, qs, err := wb2.QueryString(wideCarQuery)
+	res, qs, err := wb2.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +419,7 @@ func TestStoreBootGCStaleRecords(t *testing.T) {
 		}
 	}
 	// The GCed records changed nothing: a query runs clean.
-	if res, _, err := wb2.QueryString(wideCarQuery); err != nil || res.Degradation.Degraded() {
+	if res, _, err := wb2.QueryString(context.Background(), wideCarQuery); err != nil || res.Degradation.Degraded() {
 		t.Fatalf("query after boot GC: err=%v degraded", err)
 	}
 }
@@ -432,7 +433,7 @@ func TestStoreUnopenableStateDirIsColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	wb := durableCarWebbase(t, blocked, sites.BuildWorld().Server, nil)
-	res, _, err := wb.QueryString(wideCarQuery)
+	res, _, err := wb.QueryString(context.Background(), wideCarQuery)
 	if err != nil {
 		t.Fatalf("cold-start query errored: %v", err)
 	}

@@ -3,7 +3,6 @@ package loadgen
 import (
 	"encoding/json"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"testing"
 
@@ -19,7 +18,7 @@ import (
 // absolute: every stream completes, and every completed stream's tuple
 // multiset equals the uninterrupted answer — zero duplicates, zero
 // missing — while the kill counter proves the chaos actually happened.
-// The run's numbers are emitted as BENCH_resume.json.
+// The run's numbers are logged in the format of BENCH_resume.json.
 func TestConnectionChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load harness")
@@ -65,12 +64,12 @@ func TestConnectionChaos(t *testing.T) {
 		t.Fatal("no stream ever reconnected, yet connections were killed")
 	}
 
-	writeChaosReport(t, rep)
+	logChaosReport(t, rep)
 }
 
-// writeChaosReport emits the run as BENCH_resume.json in the repo root,
-// alongside the other committed benchmark artifacts.
-func writeChaosReport(t *testing.T, rep *ChaosReport) {
+// logChaosReport logs the run in the format of the committed BENCH_resume.json;
+// the test never rewrites that file.
+func logChaosReport(t *testing.T, rep *ChaosReport) {
 	t.Helper()
 	doc := map[string]any{
 		"benchmark": "TestConnectionChaos",
@@ -86,7 +85,5 @@ func writeChaosReport(t *testing.T, rep *ChaosReport) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("../../BENCH_resume.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	t.Logf("%s", out)
 }

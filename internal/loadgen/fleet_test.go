@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"encoding/json"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
@@ -16,7 +15,8 @@ import (
 // condition is absolute: every stream completes, every completed stream's
 // tuple multiset equals the uninterrupted answer — zero duplicates, zero
 // missing — and the kill counters prove the fleet actually lost and
-// regained processes. The run's numbers are emitted as BENCH_fleet.json.
+// regained processes. The run's numbers are logged in the format of
+// BENCH_fleet.json.
 func TestFleetChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process fleet harness")
@@ -54,7 +54,7 @@ func TestFleetChaos(t *testing.T) {
 		t.Fatal("no stream ever switched replica, yet whole processes were killed")
 	}
 
-	writeFleetReport(t, rep)
+	logFleetReport(t, rep)
 }
 
 // buildWebbased compiles the real cmd/webbased binary the fleet boots —
@@ -70,9 +70,9 @@ func buildWebbased(t *testing.T) string {
 	return bin
 }
 
-// writeFleetReport emits the run as BENCH_fleet.json in the repo root,
-// alongside the other committed benchmark artifacts.
-func writeFleetReport(t *testing.T, rep *FleetReport) {
+// logFleetReport logs the run in the format of the committed BENCH_fleet.json;
+// the test never rewrites that file.
+func logFleetReport(t *testing.T, rep *FleetReport) {
 	t.Helper()
 	doc := map[string]any{
 		"benchmark": "TestFleetChaos",
@@ -89,7 +89,5 @@ func writeFleetReport(t *testing.T, rep *FleetReport) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("../../BENCH_fleet.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	t.Logf("%s", out)
 }

@@ -25,7 +25,7 @@ const loadQuery = "SELECT Make, Model, Year, Price WHERE Make = 'jaguar' AND Con
 // requests, bob (quota 6) sheds exactly 58 — and the interactive
 // tenant's served p99 must sit inside the committed overload envelope's
 // worst case: the protection stack keeps the served tail flat no matter
-// how wide the burst is. The run's numbers are emitted as
+// how wide the burst is. The run's numbers are logged in the format of
 // BENCH_server.json.
 func TestServerLoad(t *testing.T) {
 	if testing.Short() {
@@ -127,7 +127,7 @@ func TestServerLoad(t *testing.T) {
 		t.Errorf("interactive p99 = %.1fms, want < %.1fms (BENCH_overload.json unprotected envelope)", alice.P99Ms, bound)
 	}
 
-	writeBenchReport(t, rep, bound)
+	logBenchReport(t, rep, bound)
 }
 
 func fetchMetrics(t *testing.T, baseURL string) string {
@@ -168,9 +168,9 @@ func envelopeP99(t *testing.T) float64 {
 	return doc.Results.Unprotected.P99Ms
 }
 
-// writeBenchReport emits the run as BENCH_server.json in the repo root,
-// alongside the other committed benchmark artifacts.
-func writeBenchReport(t *testing.T, rep *Report, bound float64) {
+// logBenchReport logs the run in the format of the committed BENCH_server.json;
+// the test never rewrites that file.
+func logBenchReport(t *testing.T, rep *Report, bound float64) {
 	t.Helper()
 	doc := map[string]any{
 		"benchmark": "TestServerLoad",
@@ -190,7 +190,5 @@ func writeBenchReport(t *testing.T, rep *Report, bound float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("../../BENCH_server.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	t.Logf("%s", out)
 }

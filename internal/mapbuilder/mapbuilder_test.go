@@ -1,6 +1,7 @@
 package mapbuilder_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func featuresURLFor(t *testing.T, w *sites.World) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, _, err := expr.Execute(w.Server, map[string]string{"Make": "ford", "Model": "escort"})
+	rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": "ford", "Model": "escort"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +125,11 @@ func TestSessionMapsBehaveLikeHandMaps(t *testing.T) {
 				t.Fatal(err)
 			}
 			inputs := inputsFor[s.Relation]
-			gotRel, _, err := builtExpr.Execute(w.Server, inputs)
+			gotRel, _, err := builtExpr.Execute(context.Background(), w.Server, inputs)
 			if err != nil {
 				t.Fatalf("built expression: %v", err)
 			}
-			wantRel, _, err := handExpr.Execute(w.Server, inputs)
+			wantRel, _, err := handExpr.Execute(context.Background(), w.Server, inputs)
 			if err != nil {
 				t.Fatalf("hand expression: %v", err)
 			}
@@ -165,11 +166,11 @@ func TestBuiltMapExpressionTextRoundTrip(t *testing.T) {
 		t.Fatalf("re-parse: %v\n%s", err, text)
 	}
 	in := map[string]string{"Make": "ford", "Model": "escort"}
-	a, _, err := expr.Execute(w.Server, in)
+	a, _, err := expr.Execute(context.Background(), w.Server, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, _, err := reparsed.Execute(w.Server, in)
+	bb, _, err := reparsed.Execute(context.Background(), w.Server, in)
 	if err != nil {
 		t.Fatal(err)
 	}

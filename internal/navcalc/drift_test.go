@@ -1,6 +1,7 @@
 package navcalc
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -35,7 +36,7 @@ func redesignedNewsday(rewrites ...web.Rewrite) web.Fetcher {
 func TestRenamedLinkClassifiesAsDrift(t *testing.T) {
 	f := redesignedNewsday(web.Rewrite{Old: ">Automobiles<", New: ">Cars and Trucks<"})
 	expr := newsdayExpression()
-	_, _, err := expr.Execute(f, map[string]string{"Make": "ford", "Model": "escort"})
+	_, _, err := expr.Execute(context.Background(), f, map[string]string{"Make": "ford", "Model": "escort"})
 	if !web.IsDrift(err) {
 		t.Fatalf("renamed link: IsDrift=false: %v", err)
 	}
@@ -52,7 +53,7 @@ func TestRenamedLinkClassifiesAsDrift(t *testing.T) {
 func TestRenamedFormClassifiesAsDrift(t *testing.T) {
 	f := redesignedNewsday(web.Rewrite{Old: `"f1"`, New: `"searchform"`})
 	expr := newsdayExpression()
-	_, _, err := expr.Execute(f, map[string]string{"Make": "ford", "Model": "escort"})
+	_, _, err := expr.Execute(context.Background(), f, map[string]string{"Make": "ford", "Model": "escort"})
 	if !web.IsDrift(err) {
 		t.Fatalf("renamed form: IsDrift=false: %v", err)
 	}
@@ -64,7 +65,7 @@ func TestRenamedFormClassifiesAsDrift(t *testing.T) {
 func TestRenamedTableHeaderClassifiesAsDrift(t *testing.T) {
 	f := redesignedNewsday(web.Rewrite{Old: ">Price<", New: ">Asking<"})
 	expr := newsdayExpression()
-	_, _, err := expr.Execute(f, map[string]string{"Make": "ford", "Model": "escort"})
+	_, _, err := expr.Execute(context.Background(), f, map[string]string{"Make": "ford", "Model": "escort"})
 	if !web.IsDrift(err) {
 		t.Fatalf("renamed table header: IsDrift=false: %v", err)
 	}
@@ -91,7 +92,7 @@ func TestMissingInputIsNotDrift(t *testing.T) {
 			}}),
 		),
 	}
-	_, _, err := kellys.Execute(w.Server, map[string]string{"Make": "jaguar", "Model": "xj6"})
+	_, _, err := kellys.Execute(context.Background(), w.Server, map[string]string{"Make": "jaguar", "Model": "xj6"})
 	if !errors.Is(err, ErrNavigationFailed) {
 		t.Fatalf("missing mandatory input should fail navigation: %v", err)
 	}
@@ -118,7 +119,7 @@ func TestUnboundFollowVarIsNotDrift(t *testing.T) {
 		Program:  prog,
 		Goal:     tlogic.Seq(FollowVar("Make"), FollowVar("Model"), collect),
 	}
-	_, _, err := expr.Execute(w.Server, map[string]string{"Make": "ford"})
+	_, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": "ford"})
 	if !errors.Is(err, ErrNavigationFailed) {
 		t.Fatalf("unbound Model should fail navigation: %v", err)
 	}
@@ -146,7 +147,7 @@ func TestBoundFollowVarWithNoMatchingLinkIsNotDrift(t *testing.T) {
 		Program:  prog,
 		Goal:     tlogic.Seq(FollowVar("Make"), FollowVar("Model"), collect),
 	}
-	_, _, err := expr.Execute(w.Server, map[string]string{"Make": "zeppelin", "Model": "led"})
+	_, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": "zeppelin", "Model": "led"})
 	if !errors.Is(err, ErrNavigationFailed) {
 		t.Fatalf("unknown make should fail navigation: %v", err)
 	}
@@ -160,7 +161,7 @@ func TestBoundFollowVarWithNoMatchingLinkIsNotDrift(t *testing.T) {
 func TestOutageIsNotDrift(t *testing.T) {
 	f := &web.Flaky{Inner: sites.BuildWorld().Server, FailEvery: 1}
 	expr := newsdayExpression()
-	_, _, err := expr.Execute(f, map[string]string{"Make": "ford", "Model": "escort"})
+	_, _, err := expr.Execute(context.Background(), f, map[string]string{"Make": "ford", "Model": "escort"})
 	if err == nil {
 		t.Fatal("fully failing fetcher succeeded")
 	}

@@ -1,6 +1,7 @@
 package navcalc
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestParseExpressionExecutes(t *testing.T) {
 		t.Fatalf("header: %s %v", expr.Name, expr.Schema)
 	}
 	w := sites.BuildWorld()
-	rel, _, err := expr.Execute(w.Server, map[string]string{"Make": "ford", "Model": "escort"})
+	rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": "ford", "Model": "escort"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +58,11 @@ func TestFormatParseRoundTrip(t *testing.T) {
 		t.Errorf("format not a fixed point:\n%s\nvs\n%s", text1, text2)
 	}
 	w := sites.BuildWorld()
-	a, _, err := orig.Execute(w.Server, map[string]string{"Make": "honda", "Model": "civic"})
+	a, _, err := orig.Execute(context.Background(), w.Server, map[string]string{"Make": "honda", "Model": "civic"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := reparsed.Execute(w.Server, map[string]string{"Make": "honda", "Model": "civic"})
+	b, _, err := reparsed.Execute(context.Background(), w.Server, map[string]string{"Make": "honda", "Model": "civic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +90,12 @@ goal extract(Features <- "Features", Picture <- "Picture", Url <- env ?Url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ads, _, err := nd.Execute(w.Server, map[string]string{"Make": "ford", "Model": "escort"})
+	ads, _, err := nd.Execute(context.Background(), w.Server, map[string]string{"Make": "ford", "Model": "escort"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	u, _ := ads.Get(ads.Tuples()[0], "Url")
-	rel, _, err := expr.Execute(w.Server, map[string]string{"Url": u.Str()})
+	rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Url": u.Str()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ goal follow("Price a Used Car") ;
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, _, err := expr.Execute(w.Server, map[string]string{
+	rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{
 		"Make": "jaguar", "Model": "xj6", "Year": "1994", "Condition": "good"})
 	if err != nil {
 		t.Fatal(err)

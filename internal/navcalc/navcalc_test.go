@@ -57,7 +57,7 @@ func TestNewsdayExpressionBroadMake(t *testing.T) {
 	var stats web.Stats
 	f := web.Counting(w.Server, &stats)
 
-	rel, info, err := expr.Execute(f, map[string]string{"Make": "ford", "Model": "escort"})
+	rel, info, err := expr.Execute(context.Background(), f, map[string]string{"Make": "ford", "Model": "escort"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestNewsdayExpressionRareMakeTakesDataBranch(t *testing.T) {
 		t.Skip("no rare make; adjust dataset sizes")
 	}
 	expr := newsdayExpression()
-	rel, _, err := expr.Execute(w.Server, map[string]string{"Make": rare})
+	rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": rare})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestExpressionFailsWithoutMandatoryInput(t *testing.T) {
 	// No Make: form f1 cannot be filled (its only field stays at the page
 	// default, which exists for selects) — Newsday's select has a default,
 	// so instead test Kelly's, whose condition radio group has no default.
-	_, _, err := expr.Execute(w.Server, nil)
+	_, _, err := expr.Execute(context.Background(), w.Server, nil)
 	// The select's default lets f1 submit; the execution still either
 	// succeeds (collecting the default make) or fails cleanly.
 	if err != nil && !errors.Is(err, ErrNavigationFailed) {
@@ -147,12 +147,12 @@ func TestExpressionFailsWithoutMandatoryInput(t *testing.T) {
 			}}),
 		),
 	}
-	_, _, err = kellys.Execute(w.Server, map[string]string{"Make": "jaguar", "Model": "xj6"})
+	_, _, err = kellys.Execute(context.Background(), w.Server, map[string]string{"Make": "jaguar", "Model": "xj6"})
 	if !errors.Is(err, ErrNavigationFailed) {
 		t.Errorf("missing mandatory radio input should fail navigation, got %v", err)
 	}
 	// With the full mandatory set it succeeds.
-	rel, _, err := kellys.Execute(w.Server, map[string]string{
+	rel, _, err := kellys.Execute(context.Background(), w.Server, map[string]string{
 		"Make": "jaguar", "Model": "xj6", "Condition": "good"})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestFollowVarDirectoryNavigation(t *testing.T) {
 		Program:  prog,
 		Goal:     tlogic.Seq(FollowVar("Make"), FollowVar("Model"), collect),
 	}
-	rel, _, err := expr.Execute(w.Server, map[string]string{"Make": "ford", "Model": "escort"})
+	rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": "ford", "Model": "escort"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestFollowVarDirectoryNavigation(t *testing.T) {
 		t.Errorf("collected %d, want %d", rel.Len(), want)
 	}
 	// Unbound variable: soft failure.
-	_, _, err = expr.Execute(w.Server, map[string]string{"Make": "ford"})
+	_, _, err = expr.Execute(context.Background(), w.Server, map[string]string{"Make": "ford"})
 	if !errors.Is(err, ErrNavigationFailed) {
 		t.Errorf("unbound Model should fail navigation: %v", err)
 	}
@@ -196,7 +196,7 @@ func TestFollowVarDirectoryNavigation(t *testing.T) {
 
 func TestGuards(t *testing.T) {
 	w := sites.BuildWorld()
-	st, err := NewBrowseState(w.Server, "http://"+sites.NewsdayHost+"/auto", relation.NewSchema("X"))
+	st, err := NewBrowseState(context.Background(), w.Server, "http://"+sites.NewsdayHost+"/auto", relation.NewSchema("X"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestGuards(t *testing.T) {
 
 func TestPageToObjectsShape(t *testing.T) {
 	w := sites.BuildWorld()
-	st, err := NewBrowseState(w.Server, "http://"+sites.NewsdayHost+"/auto", relation.NewSchema("X"))
+	st, err := NewBrowseState(context.Background(), w.Server, "http://"+sites.NewsdayHost+"/auto", relation.NewSchema("X"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestPageToObjectsShape(t *testing.T) {
 
 func TestBrowseStateCloneIsolation(t *testing.T) {
 	w := sites.BuildWorld()
-	st, err := NewBrowseState(w.Server, "http://"+sites.NewsdayHost+"/", relation.NewSchema("A"))
+	st, err := NewBrowseState(context.Background(), w.Server, "http://"+sites.NewsdayHost+"/", relation.NewSchema("A"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestExtractSchemaMismatchIsHardError(t *testing.T) {
 			Extract(ExtractSpec{Columns: []Column{{Header: "Make", Attr: "NotInSchema"}}}),
 		),
 	}
-	if _, _, err := expr.Execute(w.Server, nil); err == nil {
+	if _, _, err := expr.Execute(context.Background(), w.Server, nil); err == nil {
 		t.Error("schema mismatch must be a hard error")
 	}
 }
@@ -333,7 +333,7 @@ func TestPatternExtraction(t *testing.T) {
 			}}),
 		),
 	}
-	rel, _, err := expr.Execute(server, nil)
+	rel, _, err := expr.Execute(context.Background(), server, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestPatternExtraction(t *testing.T) {
 			Fields: []wrapper.Field{{Label: "Nothing", Attr: "X"}},
 		}}),
 	}
-	if _, _, err := empty.Execute(server, nil); !errors.Is(err, ErrNavigationFailed) {
+	if _, _, err := empty.Execute(context.Background(), server, nil); !errors.Is(err, ErrNavigationFailed) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -363,7 +363,7 @@ func TestPatternExtraction(t *testing.T) {
 func TestBrowseStateAccessorsAndFirstForm(t *testing.T) {
 	w := sites.BuildWorld()
 	url := "http://" + sites.WWWheelsHost + "/"
-	st, err := NewBrowseState(w.Server, url, relation.NewSchema("A"))
+	st, err := NewBrowseState(context.Background(), w.Server, url, relation.NewSchema("A"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestBrowseStateAccessorsAndFirstForm(t *testing.T) {
 			}}),
 		),
 	}
-	rel, _, err := expr.Execute(w.Server, nil)
+	rel, _, err := expr.Execute(context.Background(), w.Server, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestPatternSchemaMismatchIsHardError(t *testing.T) {
 			Fields: []wrapper.Field{{Label: "X", Attr: "NotInSchema"}},
 		}}),
 	}
-	if _, _, err := expr.Execute(server, nil); err == nil {
+	if _, _, err := expr.Execute(context.Background(), server, nil); err == nil {
 		t.Error("expected schema error")
 	}
 }
@@ -424,13 +424,13 @@ func TestPageBudgetAbortsRunawayPagination(t *testing.T) {
 	w := sites.BuildWorld()
 	expr := newsdayExpression()
 	expr.MaxPages = 4 // home + auto + f1-result + one data page, then stop
-	_, _, err := expr.Execute(w.Server, map[string]string{"Make": "ford", "Model": "escort"})
+	_, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": "ford", "Model": "escort"})
 	if !errors.Is(err, ErrPageBudget) {
 		t.Fatalf("err = %v, want page-budget abort", err)
 	}
 	// A generous budget succeeds.
 	expr.MaxPages = 100
-	rel, _, err := expr.Execute(w.Server, map[string]string{"Make": "ford", "Model": "escort"})
+	rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": "ford", "Model": "escort"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,14 +452,14 @@ func TestExecuteContextCancellation(t *testing.T) {
 		}
 		return w.Server.Fetch(req)
 	})
-	_, _, err := expr.ExecuteContext(ctx, f, map[string]string{"Make": "ford", "Model": "escort"})
+	_, _, err := expr.Execute(ctx, f, map[string]string{"Make": "ford", "Model": "escort"})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// Pre-cancelled context fails on the start page.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if _, _, err := expr.ExecuteContext(ctx2, w.Server, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := expr.Execute(ctx2, w.Server, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -473,7 +473,7 @@ func TestStartPageFetchFailure(t *testing.T) {
 		Program:  tlogic.NewProgram(),
 		Goal:     tlogic.Empty{},
 	}
-	if _, _, err := expr.Execute(w.Server, nil); err == nil {
+	if _, _, err := expr.Execute(context.Background(), w.Server, nil); err == nil {
 		t.Error("unknown host must error")
 	}
 }

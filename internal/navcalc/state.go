@@ -80,14 +80,9 @@ type BrowseState struct {
 }
 
 // NewBrowseState fetches startURL and returns the initial state of a
-// navigation whose extracted tuples will have the given schema.
-func NewBrowseState(f web.Fetcher, startURL string, schema relation.Schema) (*BrowseState, error) {
-	return NewBrowseStateContext(context.Background(), f, startURL, schema, 0)
-}
-
-// NewBrowseStateContext is NewBrowseState with cancellation and a page
-// budget (0 = unlimited).
-func NewBrowseStateContext(ctx context.Context, f web.Fetcher, startURL string,
+// navigation whose extracted tuples will have the given schema. Page loads
+// stop once ctx is done; maxPages is the page budget (0 = unlimited).
+func NewBrowseState(ctx context.Context, f web.Fetcher, startURL string,
 	schema relation.Schema, maxPages int) (*BrowseState, error) {
 	st := &BrowseState{
 		ctx:     ctx,

@@ -1,6 +1,7 @@
 package navmap_test
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -61,11 +62,11 @@ func TestMapJSONRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			origRel, _, err := origExpr.Execute(w.Server, in)
+			origRel, _, err := origExpr.Execute(context.Background(), w.Server, in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			loadedRel, _, err := loadedExpr.Execute(w.Server, in)
+			loadedRel, _, err := loadedExpr.Execute(context.Background(), w.Server, in)
 			if err != nil {
 				t.Fatal(err)
 			}

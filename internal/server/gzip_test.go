@@ -17,17 +17,19 @@ var rawClient = &http.Client{Transport: &http.Transport{DisableCompression: true
 // TestQueryStreamGzip: a stream requested with Accept-Encoding: gzip
 // arrives compressed and decompresses to byte-identical NDJSON — same
 // request ID pinned, only the run-dependent trailer stats normalized.
+// The coding name matches in any case, and q=0 ("not acceptable")
+// refuses it.
 func TestQueryStreamGzip(t *testing.T) {
 	ts, _ := newCarServer(t, core.Config{}, Config{})
 
-	fetch := func(gzipped bool) []map[string]any {
+	fetch := func(acceptEncoding string, gzipped bool) []map[string]any {
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/query", strings.NewReader(wideQuery))
 		if err != nil {
 			t.Fatal(err)
 		}
 		req.Header.Set("X-Request-Id", "r-gzip-test")
-		if gzipped {
-			req.Header.Set("Accept-Encoding", "gzip")
+		if acceptEncoding != "" {
+			req.Header.Set("Accept-Encoding", acceptEncoding)
 		}
 		resp, err := rawClient.Do(req)
 		if err != nil {
@@ -40,7 +42,7 @@ func TestQueryStreamGzip(t *testing.T) {
 		body := io.Reader(resp.Body)
 		if gzipped {
 			if enc := resp.Header.Get("Content-Encoding"); enc != "gzip" {
-				t.Fatalf("Content-Encoding = %q, want gzip", enc)
+				t.Fatalf("Accept-Encoding %q: Content-Encoding = %q, want gzip", acceptEncoding, enc)
 			}
 			zr, err := gzip.NewReader(resp.Body)
 			if err != nil {
@@ -48,15 +50,26 @@ func TestQueryStreamGzip(t *testing.T) {
 			}
 			body = zr
 		} else if enc := resp.Header.Get("Content-Encoding"); enc != "" {
-			t.Fatalf("plain request got Content-Encoding %q", enc)
+			t.Fatalf("Accept-Encoding %q: got Content-Encoding %q, want none", acceptEncoding, enc)
 		}
 		return decodeLines(t, body)
 	}
 
-	plain := normalizeStream(t, fetch(false))
-	compressed := normalizeStream(t, fetch(true))
-	if plain != compressed {
-		t.Fatalf("gzip stream decompresses differently:\nplain %s\n gzip %s", plain, compressed)
+	plain := normalizeStream(t, fetch("", false))
+	for _, tc := range []struct {
+		acceptEncoding string
+		gzipped        bool
+	}{
+		{"gzip", true},
+		{"GZIP", true},
+		{"GZIP;q=1", true},
+		{"deflate, gzip;q=1.0", true},
+		{"gzip;q=0", false},
+		{"identity", false},
+	} {
+		if got := normalizeStream(t, fetch(tc.acceptEncoding, tc.gzipped)); got != plain {
+			t.Fatalf("Accept-Encoding %q: stream decodes differently:\nplain %s\n  got %s", tc.acceptEncoding, plain, got)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -228,7 +229,7 @@ func TestStreamUnionEqualsInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, _, err := twin.QueryString(tc.query)
+			res, _, err := twin.QueryString(context.Background(), tc.query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -446,7 +447,7 @@ func TestMidStreamOutageTrailer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := twin.QueryString(carQuery)
+	res, _, err := twin.QueryString(context.Background(), carQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -346,60 +348,27 @@ func encodeTuples(ts []relation.Tuple) [][]any {
 	return out
 }
 
-// gzipAccepted reports whether the request allows a gzip response body.
+// gzipAccepted reports whether the request allows a gzip response body:
+// some Accept-Encoding element names gzip, in any case, with a weight
+// other than q=0 ("not acceptable", RFC 9110 section 12.4.2).
 func gzipAccepted(r *http.Request) bool {
 	for _, enc := range r.Header.Values("Accept-Encoding") {
-		for _, part := range splitComma(enc) {
-			if part == "gzip" || hasPrefixFold(part, "gzip;") {
-				return true
+		for _, elem := range strings.Split(enc, ",") {
+			coding, params, _ := strings.Cut(elem, ";")
+			if !strings.EqualFold(strings.TrimSpace(coding), "gzip") {
+				continue
 			}
+			for _, p := range strings.Split(params, ";") {
+				name, val, _ := strings.Cut(strings.TrimSpace(p), "=")
+				if strings.EqualFold(name, "q") {
+					q, err := strconv.ParseFloat(val, 64)
+					return err != nil || q > 0
+				}
+			}
+			return true
 		}
 	}
 	return false
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			part := trimSpace(s[start:i])
-			if part != "" {
-				out = append(out, part)
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
-
-func trimSpace(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
-	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t') {
-		s = s[:len(s)-1]
-	}
-	return s
-}
-
-func hasPrefixFold(s, prefix string) bool {
-	if len(s) < len(prefix) {
-		return false
-	}
-	for i := 0; i < len(prefix); i++ {
-		a, b := s[i], prefix[i]
-		if 'A' <= a && a <= 'Z' {
-			a += 'a' - 'A'
-		}
-		if 'A' <= b && b <= 'Z' {
-			b += 'a' - 'A'
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
 }
 
 // gzipWriter compresses one non-streaming response (GET /metrics).

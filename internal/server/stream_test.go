@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -96,7 +97,7 @@ func TestStreamMatchesInProcessUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := twin.QueryString(wideQuery)
+	res, _, err := twin.QueryString(context.Background(), wideQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,12 +20,12 @@ type downCatalog struct {
 	down map[string]string // relation → dead host
 }
 
-func (c *downCatalog) Populate(name string, inputs map[string]relation.Value) (*relation.Relation, error) {
+func (c *downCatalog) Populate(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
 	if host, ok := c.down[name]; ok {
 		return nil, web.MarkOutage(&web.HostError{Host: host,
 			Err: fmt.Errorf("web: 3 attempts failed: connection refused")})
 	}
-	return c.MemCatalog.Populate(name, inputs)
+	return c.MemCatalog.Populate(ctx, name, inputs)
 }
 
 // TestEvalDeadSiteInOnlyObject: when every plan object needs the dead
@@ -42,7 +42,7 @@ func TestEvalDeadSiteInOnlyObject(t *testing.T) {
 			{Attr: "Make", Op: algebra.EQ, Val: relation.String("jaguar")},
 		},
 	}
-	healthy, err := s.Eval(q, mem)
+	healthy, err := s.Eval(context.Background(), q, mem, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestEvalDeadSiteInOnlyObject(t *testing.T) {
 	}
 
 	cat := &downCatalog{MemCatalog: mem, down: map[string]string{"book": "book.example"}}
-	_, err = s.Eval(q, cat)
+	_, err = s.Eval(context.Background(), q, cat, nil)
 	if err == nil {
 		t.Fatal("query over a dead mandatory site succeeded")
 	}
@@ -66,7 +66,7 @@ func TestEvalDeadSiteInOnlyObject(t *testing.T) {
 			{Attr: "Make", Op: algebra.EQ, Val: relation.String("jaguar")},
 		},
 	}
-	res2, err := s.Eval(q2, cat)
+	res2, err := s.Eval(context.Background(), q2, cat, nil)
 	if err != nil || res2.Degradation != nil {
 		t.Fatalf("unrelated site affected the query: %v %+v", err, res2)
 	}
@@ -103,7 +103,7 @@ func TestEvalPartialAnswerExactlySurvivors(t *testing.T) {
 	s, mem := miniTwoObjectWorld()
 	q := Query{Output: []string{"K", "V"}}
 
-	healthy, err := s.Eval(q, mem)
+	healthy, err := s.Eval(context.Background(), q, mem, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestEvalPartialAnswerExactlySurvivors(t *testing.T) {
 	}
 
 	cat := &downCatalog{MemCatalog: mem, down: map[string]string{"b": "b.example"}}
-	res, err := s.Eval(q, cat)
+	res, err := s.Eval(context.Background(), q, cat, nil)
 	if err != nil {
 		t.Fatalf("degraded eval failed outright: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestEvalPartialAnswerExactlySurvivors(t *testing.T) {
 	// per-site detail in the message.
 	all := &downCatalog{MemCatalog: mem,
 		down: map[string]string{"a": "a.example", "b": "b.example"}}
-	_, err = s.Eval(q, all)
+	_, err = s.Eval(context.Background(), q, all, nil)
 	if err == nil {
 		t.Fatal("all-objects-down eval succeeded")
 	}
@@ -161,12 +161,12 @@ type driftCatalog struct {
 	drifted map[string]string // relation → drifted host
 }
 
-func (c *driftCatalog) Populate(name string, inputs map[string]relation.Value) (*relation.Relation, error) {
+func (c *driftCatalog) Populate(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
 	if host, ok := c.drifted[name]; ok {
 		return nil, web.MarkDrift(&web.HostError{Host: host,
 			Err: fmt.Errorf("navcalc: navigation failed: link \"Automobiles\" not found")})
 	}
-	return c.MemCatalog.Populate(name, inputs)
+	return c.MemCatalog.Populate(ctx, name, inputs)
 }
 
 // TestEvalDriftDegradesWithKind: a drifted site degrades the answer like
@@ -179,7 +179,7 @@ func TestEvalDriftDegradesWithKind(t *testing.T) {
 	q := Query{Output: []string{"K", "V"}}
 
 	cat := &driftCatalog{MemCatalog: mem, drifted: map[string]string{"b": "b.example"}}
-	res, err := s.Eval(q, cat)
+	res, err := s.Eval(context.Background(), q, cat, nil)
 	if err != nil {
 		t.Fatalf("degraded eval failed outright: %v", err)
 	}
@@ -203,7 +203,7 @@ func TestEvalDriftDegradesWithKind(t *testing.T) {
 
 	// An outage entry renders exactly as it always has — no tag.
 	down := &downCatalog{MemCatalog: mem, down: map[string]string{"b": "b.example"}}
-	res, err = s.Eval(q, down)
+	res, err = s.Eval(context.Background(), q, down, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestEvalDriftDegradesWithKind(t *testing.T) {
 func TestEvalStrictFailsFastOnDrift(t *testing.T) {
 	s, mem := miniTwoObjectWorld()
 	cat := &driftCatalog{MemCatalog: mem, drifted: map[string]string{"b": "b.example"}}
-	_, err := s.EvalContext(WithStrict(context.Background()), Query{Output: []string{"K", "V"}}, cat)
+	_, err := s.Eval(WithStrict(context.Background()), Query{Output: []string{"K", "V"}}, cat, nil)
 	if err == nil {
 		t.Fatal("strict eval succeeded over a drifted site")
 	}
@@ -244,7 +244,7 @@ func TestEvalStrictFailsFast(t *testing.T) {
 	cat := &downCatalog{MemCatalog: mem, down: map[string]string{"b": "b.example"}}
 	q := Query{Output: []string{"K", "V"}}
 
-	_, err := s.EvalContext(WithStrict(context.Background()), q, cat)
+	_, err := s.Eval(WithStrict(context.Background()), q, cat, nil)
 	if err == nil {
 		t.Fatal("strict eval succeeded over a dead site")
 	}
@@ -262,7 +262,7 @@ func TestEvalCancellationIsNotDegradation(t *testing.T) {
 	s, mem := miniTwoObjectWorld()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := s.EvalContext(ctx, Query{Output: []string{"K", "V"}}, mem)
+	_, err := s.Eval(ctx, Query{Output: []string{"K", "V"}}, mem, nil)
 	if err == nil {
 		t.Skip("in-memory catalog answered before noticing cancellation")
 	}

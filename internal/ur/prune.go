@@ -15,7 +15,7 @@ var pruneOps = map[algebra.CmpOp]prune.Op{
 
 // NewPruneState compiles the query's conjunctive WHERE clause into a
 // runtime access-relevance state (package prune). Attach it with
-// prune.ContextWith before EvalStream and every layer below consults it:
+// prune.ContextWith before Schema.Eval and every layer below consults it:
 // handle invocations whose inputs violate the clause are skipped
 // pre-fetch, dependent-join feeds whose upstream bindings are doomed are
 // never invoked, and — when sound — maximal objects stop launching once

@@ -339,7 +339,7 @@ func (d *Degradation) String() string {
 // instead of degrading it.
 type strictKey struct{}
 
-// WithStrict marks ctx so that EvalContext fails fast on the first site
+// WithStrict marks ctx so that Eval fails fast on the first site
 // outage (the taxonomized error is returned) instead of evaluating the
 // surviving maximal objects.
 func WithStrict(ctx context.Context) context.Context {
@@ -354,32 +354,25 @@ func strictFrom(ctx context.Context) bool {
 // Eval plans and evaluates the query against the logical catalog, taking
 // the union of the qualifying maximal objects' answers. Objects that fail
 // on binding grounds are skipped and reported; any other failure aborts.
-func (s *Schema) Eval(q Query, cat algebra.Catalog) (*Result, error) {
-	return s.EvalContext(context.Background(), q, cat)
-}
-
-// EvalContext is Eval with cancellation and bounded parallelism. The
-// maximal objects are independent (each navigates different site
+//
+// The maximal objects are independent (each navigates different site
 // combinations; the fetch stack is concurrency-safe), so they evaluate
 // concurrently under the worker pool the context carries (algebra.WithPool);
 // without a pool they evaluate sequentially. Per-object answers are
 // written into indexed slots and unioned in plan order, so the result is
 // identical tuple for tuple regardless of scheduling. Cancelling ctx
 // stops further page fetches and surfaces ctx.Err().
-func (s *Schema) EvalContext(ctx context.Context, q Query, cat algebra.Catalog) (*Result, error) {
-	return s.EvalStream(ctx, q, cat, nil)
-}
-
-// EvalStream is EvalContext with incremental per-object delivery: as
-// each maximal object completes, its finished contribution (new unique
+//
+// A non-nil sink receives incremental per-object delivery: as each
+// maximal object completes, its finished contribution (new unique
 // tuples, a degradation failure, or a binding skip) is handed to sink in
 // plan order, gated so the stream is byte-identical whatever the worker
 // count. The concatenation of delivered tuples equals Result.Relation's
 // tuple sequence. Queries with ORDER BY or LIMIT cannot stream
 // incrementally — the answer is not final until every object has
 // reported — so they emit a single terminal Buffered delivery instead.
-// A nil sink degenerates to EvalContext.
-func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, sink ObjectSink) (*Result, error) {
+// A nil sink means a buffered answer only.
+func (s *Schema) Eval(ctx context.Context, q Query, cat algebra.Catalog, sink ObjectSink) (*Result, error) {
 	plan, err := s.Plan(q)
 	if err != nil {
 		return nil, err
@@ -448,7 +441,7 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 		}
 		// The paper: "once translated, these queries can be optimized
 		// and evaluated by standard query evaluation techniques."
-		rel, err := algebra.EvalContext(octx, algebra.Optimize(plan.Objects[i].Expr, cat), cat, nil)
+		rel, err := algebra.Eval(octx, algebra.Optimize(plan.Objects[i].Expr, cat), cat, nil)
 		rels[i] = rel
 		if pst.LimitArmed() {
 			// Feed the cardinality tracker this object's distinct-tuple

@@ -117,7 +117,7 @@ func (g *streamGate) complete(i int, rel *relation.Relation, err error) {
 	}
 }
 
-// deliver classifies one completed object exactly as EvalContext's
+// deliver classifies one completed object exactly as Eval's
 // post-loop does and emits the matching delivery. A fatal error (neither
 // a binding failure nor a degradable outage/drift) aborts the stream:
 // the query is going to return an error and no further objects are

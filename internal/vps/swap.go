@@ -11,7 +11,7 @@ import (
 // This file is the hot-swap half of the self-healing subsystem: the
 // registry can atomically replace a relation's navigation map (and the
 // expression translated from it) while queries are running. Swapping is
-// copy-on-write — PopulateContext loads the override pointer once per
+// copy-on-write — Populate loads the override pointer once per
 // handle invocation — so the query path takes no locks and an in-flight
 // query finishes on the map it started with.
 
@@ -138,7 +138,7 @@ func (r *Registry) RestoreMap(name string, m *navmap.Map, version int) error {
 type quarantineKey struct{}
 
 // ContextWithQuarantine attaches the set of quarantined hosts consulted
-// by PopulateContext. The caller snapshots the set once at query start —
+// by Populate. The caller snapshots the set once at query start —
 // mid-query health transitions must not change a running query's
 // behavior, or outcomes would depend on goroutine scheduling.
 func ContextWithQuarantine(ctx context.Context, hosts map[string]bool) context.Context {

@@ -29,7 +29,7 @@ func repairedNewsdayMap(t *testing.T, reg *Registry) (*navmap.Map, web.Rewrite) 
 	return repaired, web.Rewrite{Old: ">Automobiles<", New: ">Cars and Trucks<"}
 }
 
-// TestSwapMapServesNewExpression: after a swap, PopulateContext navigates
+// TestSwapMapServesNewExpression: after a swap, Populate navigates
 // with the repaired map (against the redesigned site) and MapVersion
 // reports the new generation with the repaired map's fingerprint.
 func TestSwapMapServesNewExpression(t *testing.T) {
@@ -45,7 +45,7 @@ func TestSwapMapServesNewExpression(t *testing.T) {
 	rd.Activate()
 
 	// Old map against the redesigned site: drift.
-	_, _, err = reg.Populate(rd, "newsday", map[string]relation.Value{
+	_, _, err = reg.Populate(context.Background(), rd, "newsday", map[string]relation.Value{
 		"Make": v("ford"), "Model": v("escort")})
 	if !web.IsDrift(err) {
 		t.Fatalf("old map on redesigned site: IsDrift=false: %v", err)
@@ -65,7 +65,7 @@ func TestSwapMapServesNewExpression(t *testing.T) {
 		t.Error("CurrentMap is not the swapped-in map")
 	}
 
-	rel, _, err := reg.Populate(rd, "newsday", map[string]relation.Value{
+	rel, _, err := reg.Populate(context.Background(), rd, "newsday", map[string]relation.Value{
 		"Make": v("ford"), "Model": v("escort")})
 	if err != nil {
 		t.Fatal(err)
@@ -120,12 +120,19 @@ func TestSwapDuringConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repaired, rw := repairedNewsdayMap(t, reg)
-	// The site serves BOTH designs here (rewrite inactive), so old-map and
+	repaired, _ := repairedNewsdayMap(t, reg)
+	// The site serves BOTH designs here: the redesign adds a "Cars and
+	// Trucks" link beside "Automobiles", same target, so old-map and
 	// new-map navigations both succeed; what's under test is the
 	// concurrency of the swap, not the drift.
-	_ = rw
-	w := sites.BuildWorld()
+	both := &web.Redesign{
+		Inner: sites.BuildWorld().Server,
+		Rewrites: map[string][]web.Rewrite{sites.NewsdayHost: {{
+			Old: `>Automobiles</a><br>`,
+			New: `>Automobiles</a><br><a href="http://` + sites.NewsdayHost + `/auto">Cars and Trucks</a><br>`,
+		}}},
+	}
+	both.Activate()
 	inputs := map[string]relation.Value{"Make": v("ford"), "Model": v("escort")}
 
 	var wg sync.WaitGroup
@@ -140,7 +147,7 @@ func TestSwapDuringConcurrentQueries(t *testing.T) {
 					return
 				default:
 				}
-				rel, _, err := reg.PopulateContext(context.Background(), w.Server, "newsday", inputs)
+				rel, _, err := reg.Populate(context.Background(), both, "newsday", inputs)
 				if err != nil {
 					t.Errorf("query during swap failed: %v", err)
 					return
@@ -181,7 +188,7 @@ func TestQuarantinedHostShortCircuits(t *testing.T) {
 	})
 	ctx := ContextWithQuarantine(context.Background(),
 		map[string]bool{sites.NewsdayHost: true})
-	_, _, err = reg.PopulateContext(ctx, counting, "newsday", map[string]relation.Value{
+	_, _, err = reg.Populate(ctx, counting, "newsday", map[string]relation.Value{
 		"Make": v("ford"), "Model": v("escort")})
 	if !web.IsDrift(err) {
 		t.Fatalf("quarantined host: IsDrift=false: %v", err)
@@ -190,7 +197,7 @@ func TestQuarantinedHostShortCircuits(t *testing.T) {
 		t.Errorf("quarantined host was fetched %d times", fetches)
 	}
 	// Another host under the same snapshot answers normally.
-	rel, _, err := reg.PopulateContext(ctx, counting, "newYorkDaily", map[string]relation.Value{
+	rel, _, err := reg.Populate(ctx, counting, "newYorkDaily", map[string]relation.Value{
 		"Make": v("ford")})
 	if err != nil || rel.Len() == 0 {
 		t.Fatalf("unquarantined host failed: %v (rows=%d)", err, rel.Len())

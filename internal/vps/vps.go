@@ -211,15 +211,10 @@ func (r *Registry) ChooseHandle(name string, inputs map[string]relation.Value) (
 // the relation restricted to the given inputs. Sites may answer more
 // broadly than asked (a selection attribute the handle could not forward),
 // so the result is post-filtered: every returned tuple satisfies
-// tuple[a] = inputs[a] for each input attribute a in the schema.
-func (r *Registry) Populate(f web.Fetcher, name string, inputs map[string]relation.Value) (*relation.Relation, *navcalc.ExecInfo, error) {
-	return r.PopulateContext(context.Background(), f, name, inputs)
-}
-
-// PopulateContext is Populate with cancellation: the handle's navigation
-// aborts at the next page load once ctx is done, so a cancelled query
-// stops fetching promptly instead of finishing the site.
-func (r *Registry) PopulateContext(ctx context.Context, f web.Fetcher, name string, inputs map[string]relation.Value) (*relation.Relation, *navcalc.ExecInfo, error) {
+// tuple[a] = inputs[a] for each input attribute a in the schema. The
+// navigation aborts at the next page load once ctx is done, so a
+// cancelled query stops fetching promptly instead of finishing the site.
+func (r *Registry) Populate(ctx context.Context, f web.Fetcher, name string, inputs map[string]relation.Value) (*relation.Relation, *navcalc.ExecInfo, error) {
 	h, err := r.ChooseHandle(name, inputs)
 	if err != nil {
 		// The failed access attempt is itself worth tracing: Benedikt &
@@ -285,7 +280,7 @@ func (r *Registry) PopulateContext(ctx context.Context, f web.Fetcher, name stri
 		sp.EndErr(err)
 		return nil, nil, err
 	}
-	rel, info, err := expr.ExecuteContext(ctx, f, strInputs)
+	rel, info, err := expr.Execute(ctx, f, strInputs)
 	if err != nil {
 		err = fmt.Errorf("vps: populating %s: %w", name, err)
 		sp.Set("fetches", countFetches(sp))
@@ -329,7 +324,7 @@ func countFetches(sp *trace.Span) int64 {
 // data: executing every invocable handle of the relation with the same
 // inputs must yield the same tuples. It returns an error describing the
 // first disagreement.
-func (r *Registry) CheckAgreement(f web.Fetcher, name string, inputs map[string]relation.Value) error {
+func (r *Registry) CheckAgreement(ctx context.Context, f web.Fetcher, name string, inputs map[string]relation.Value) error {
 	ri, ok := r.relations[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownRelation, name)
@@ -344,7 +339,7 @@ func (r *Registry) CheckAgreement(f web.Fetcher, name string, inputs map[string]
 		if !h.Invocable(inputs) {
 			continue
 		}
-		rel, _, err := h.Expr.Execute(f, strInputs)
+		rel, _, err := h.Expr.Execute(ctx, f, strInputs)
 		if err != nil {
 			return fmt.Errorf("vps: agreement check %s: handle %s: %w", name, h, err)
 		}

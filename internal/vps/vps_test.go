@@ -1,6 +1,7 @@
 package vps
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -124,7 +125,7 @@ func TestPopulateAgainstWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, info, err := reg.Populate(w.Server, "newsday", map[string]relation.Value{
+	rel, info, err := reg.Populate(context.Background(), w.Server, "newsday", map[string]relation.Value{
 		"Make": v("ford"), "Model": v("escort")})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +144,7 @@ func TestPopulatePostFilters(t *testing.T) {
 	// must still return only matching tuples (client-side restriction).
 	w := sites.BuildWorld()
 	reg, _ := StandardRegistry()
-	rel, _, err := reg.Populate(w.Server, "newYorkDaily", map[string]relation.Value{
+	rel, _, err := reg.Populate(context.Background(), w.Server, "newYorkDaily", map[string]relation.Value{
 		"Make": v("ford"), "Model": v("escort")})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +165,7 @@ func TestPopulateYearIntFilter(t *testing.T) {
 	// Kellys with a Year input: the site forwards it; result is one row.
 	w := sites.BuildWorld()
 	reg, _ := StandardRegistry()
-	rel, _, err := reg.Populate(w.Server, "kellys", map[string]relation.Value{
+	rel, _, err := reg.Populate(context.Background(), w.Server, "kellys", map[string]relation.Value{
 		"Make": v("jaguar"), "Model": v("xj6"),
 		"Year": relation.Int(1994), "Condition": v("good")})
 	if err != nil {
@@ -199,7 +200,7 @@ func TestPopulateEmptyAnswerIsNotFailure(t *testing.T) {
 	if mk == "" {
 		t.Skip("dataset covers every make/model; enlarge catalog to test")
 	}
-	rel, _, err := reg.Populate(w.Server, "wwWheels", map[string]relation.Value{
+	rel, _, err := reg.Populate(context.Background(), w.Server, "wwWheels", map[string]relation.Value{
 		"Make": v(mk), "Model": v(md)})
 	if err != nil {
 		t.Fatalf("empty search should succeed: %v", err)
@@ -212,7 +213,7 @@ func TestPopulateEmptyAnswerIsNotFailure(t *testing.T) {
 func TestPopulateNoHandle(t *testing.T) {
 	w := sites.BuildWorld()
 	reg, _ := StandardRegistry()
-	_, _, err := reg.Populate(w.Server, "kellys", map[string]relation.Value{"Make": v("jaguar")})
+	_, _, err := reg.Populate(context.Background(), w.Server, "kellys", map[string]relation.Value{"Make": v("jaguar")})
 	if !errors.Is(err, ErrNoUsableHandle) {
 		t.Errorf("err = %v", err)
 	}
@@ -223,12 +224,12 @@ func TestHandleAgreement(t *testing.T) {
 	// handles must return the same tuples when both are given Make+Model.
 	w := sites.BuildWorld()
 	reg, _ := StandardRegistry()
-	err := reg.CheckAgreement(w.Server, "newsday", map[string]relation.Value{
+	err := reg.CheckAgreement(context.Background(), w.Server, "newsday", map[string]relation.Value{
 		"Make": v("ford"), "Model": v("escort")})
 	if err != nil {
 		t.Errorf("handles disagree: %v", err)
 	}
-	if err := reg.CheckAgreement(w.Server, "ghost", nil); !errors.Is(err, ErrUnknownRelation) {
+	if err := reg.CheckAgreement(context.Background(), w.Server, "ghost", nil); !errors.Is(err, ErrUnknownRelation) {
 		t.Errorf("err = %v", err)
 	}
 }

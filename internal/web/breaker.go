@@ -119,11 +119,6 @@ func NewBreaker(inner Fetcher, cfg BreakerConfig, stats *Stats) *Breaker {
 		hosts: make(map[string]*hostCircuit)}
 }
 
-// WithBreaker is NewBreaker as a plain middleware constructor.
-func WithBreaker(inner Fetcher, cfg BreakerConfig, stats *Stats) Fetcher {
-	return NewBreaker(inner, cfg, stats)
-}
-
 func (b *Breaker) host(host string) *hostCircuit {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -12,7 +12,7 @@ import (
 // efficient under parallel query evaluation: WithSingleflight collapses
 // identical concurrent requests (Benedikt & Gottlob's "determining
 // relevance of accesses at runtime" — don't repeat an access another
-// branch is already performing), and WithHostLimit caps per-host
+// branch is already performing), and WithBulkhead caps per-host
 // concurrency so parallel union branches never hammer one site.
 
 // WithSingleflight wraps inner so that concurrent fetches of the same
@@ -54,15 +54,6 @@ func WithSingleflight(inner Fetcher, stats *Stats) Fetcher {
 		close(c.done)
 		return c.resp, c.err
 	})
-}
-
-// WithHostLimit wraps inner with a per-host concurrency cap: at most
-// perHost fetches execute against any one host at a time; excess fetches
-// queue without bound — the historical PR 1 behavior, equivalent to
-// WithBulkhead with an unbounded wait queue. perHost <= 0 disables the
-// cap (inner is returned unwrapped).
-func WithHostLimit(inner Fetcher, perHost int, stats *Stats) Fetcher {
-	return WithBulkhead(inner, perHost, 0, stats)
 }
 
 // WithBulkhead wraps inner with a per-host bulkhead: at most perHost

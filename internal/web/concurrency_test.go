@@ -175,7 +175,7 @@ func TestHostLimitCapRespected(t *testing.T) {
 		t.Run(fmt.Sprintf("cap=%d", cap), func(t *testing.T) {
 			inner := newCountingInner(5 * time.Millisecond)
 			stats := &Stats{}
-			f := WithHostLimit(inner, cap, stats)
+			f := WithBulkhead(inner, cap, 0, stats)
 
 			const perHost = 12
 			var wg sync.WaitGroup
@@ -224,7 +224,7 @@ func TestHostLimitFIFOFairness(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		return HTML(req.URL, "<html></html>"), nil
 	})
-	f := WithHostLimit(inner, 1, nil)
+	f := WithBulkhead(inner, 1, 0, nil)
 
 	const n = 8
 	release := make(chan struct{})
@@ -259,10 +259,10 @@ func TestHostLimitFIFOFairness(t *testing.T) {
 // TestHostLimitDisabled pins that a non-positive cap is a no-op wrapper.
 func TestHostLimitDisabled(t *testing.T) {
 	inner := newCountingInner(0)
-	if f := WithHostLimit(inner, 0, nil); f != Fetcher(inner) {
+	if f := WithBulkhead(inner, 0, 0, nil); f != Fetcher(inner) {
 		t.Error("cap 0 should return inner unwrapped")
 	}
-	if f := WithHostLimit(inner, -1, nil); f != Fetcher(inner) {
+	if f := WithBulkhead(inner, -1, 0, nil); f != Fetcher(inner) {
 		t.Error("negative cap should return inner unwrapped")
 	}
 }
@@ -390,8 +390,8 @@ func TestBulkheadQueuedFetchHonorsCancellation(t *testing.T) {
 	close(inner.gate)
 }
 
-// TestBulkheadUnboundedQueueNeverSheds pins WithHostLimit compatibility:
-// maxQueue=0 queues without bound, the historical PR 1 behavior.
+// TestBulkheadUnboundedQueueNeverSheds: maxQueue=0 queues without bound,
+// so a saturated host makes fetches wait, never sheds them.
 func TestBulkheadUnboundedQueueNeverSheds(t *testing.T) {
 	inner := newCountingInner(time.Millisecond)
 	stats := &Stats{}
@@ -422,7 +422,7 @@ func TestSingleflightUnderSharedStats(t *testing.T) {
 	inner := newCountingInner(time.Millisecond)
 	stats := &Stats{}
 	cache := NewCache()
-	f := WithCache(WithSingleflight(WithHostLimit(Counting(inner, stats), 2, stats), stats), cache)
+	f := WithCache(WithSingleflight(WithBulkhead(Counting(inner, stats), 2, 0, stats), stats), cache)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 24; g++ {

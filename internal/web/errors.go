@@ -118,9 +118,6 @@ func Mark(class FaultClass, err error) error {
 	return &classified{class: class, err: err}
 }
 
-// MarkTransient classifies err as retryable.
-func MarkTransient(err error) error { return Mark(FaultTransient, err) }
-
 // MarkOutage classifies err as a terminal site outage.
 func MarkOutage(err error) error { return Mark(FaultOutage, err) }
 
@@ -129,16 +126,6 @@ func MarkSiteAnswer(err error) error { return Mark(FaultSiteAnswer, err) }
 
 // MarkDrift classifies err as site drift: a redesign, not an outage.
 func MarkDrift(err error) error { return Mark(FaultDrift, err) }
-
-// ClassOf reports the classification of err: the outermost classified
-// wrapper on the chain, i.e. the most recent verdict.
-func ClassOf(err error) FaultClass {
-	var ce *classified
-	if errors.As(err, &ce) {
-		return ce.class
-	}
-	return FaultUnknown
-}
 
 // IsOutage reports whether err is classified as a terminal site outage.
 func IsOutage(err error) bool { return errors.Is(err, ErrOutage) }

@@ -129,14 +129,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // The request's context is honored between attempts: a cancelled context
 // aborts the loop (and any backoff wait) immediately, returning the
 // context's error unclassified rather than burning the remaining
-// retries. A retry budget on the context (ContextWithRetryBudget) caps
-// the total re-issues a query may spend across all its fetches; when it
-// runs dry the fetch fails over to the terminal path without further
-// attempts. Terminal failures — retries exhausted, budget dry — are
-// classified as an Outage and attributed to the host (HostError), which
-// is what lets the UR layer degrade around the dead site. Re-issued
-// attempts accumulate in stats (which may be nil) and on the request's
-// trace span.
+// retries. A terminal failure (retries exhausted) is classified as an
+// Outage and attributed to the host (HostError), which is what lets the
+// UR layer degrade around the dead site. Re-issued attempts accumulate in
+// stats (which may be nil) and on the request's trace span.
 func WithRetryPolicy(inner Fetcher, p RetryPolicy, stats *Stats) Fetcher {
 	sleep := p.Sleep
 	if sleep == nil {
@@ -162,10 +158,6 @@ func WithRetryPolicy(inner Fetcher, p RetryPolicy, stats *Stats) Fetcher {
 			if attempt == p.Retries {
 				break
 			}
-			if !retryBudgetFrom(ctx).take() {
-				trace.FromContext(ctx).Label("retry-budget", "exhausted")
-				break
-			}
 			if stats != nil {
 				stats.retries.Add(1)
 			}
@@ -181,16 +173,9 @@ func WithRetryPolicy(inner Fetcher, p RetryPolicy, stats *Stats) Fetcher {
 	})
 }
 
-// WithRetry is WithRetryPolicy without backoff, kept for callers that
-// only care about the attempt count.
-func WithRetry(inner Fetcher, retries int, stats *Stats) Fetcher {
-	return WithRetryPolicy(inner, RetryPolicy{Retries: retries}, stats)
-}
-
-// RetryBudget caps how many re-issued attempts a query may spend across
-// all of its fetches, so a query over many flaky sites cannot multiply
-// its own page count unboundedly. A nil budget (no budget on the
-// context) is unlimited.
+// RetryBudget caps how many extra attempts a query may spend across all
+// of its fetches; the hedge budget (ContextWithHedgeBudget) is one. A nil
+// budget (no budget on the context) is unlimited.
 type RetryBudget struct {
 	limited   bool
 	remaining atomic.Int64
@@ -213,23 +198,6 @@ func (b *RetryBudget) take() bool {
 		return true
 	}
 	return b.remaining.Add(-1) >= 0
-}
-
-// Remaining reports the re-issues left (meaningless for unlimited
-// budgets).
-func (b *RetryBudget) Remaining() int64 { return b.remaining.Load() }
-
-type retryBudgetKey struct{}
-
-// ContextWithRetryBudget attaches a per-query retry budget consulted by
-// WithRetryPolicy.
-func ContextWithRetryBudget(ctx context.Context, b *RetryBudget) context.Context {
-	return context.WithValue(ctx, retryBudgetKey{}, b)
-}
-
-func retryBudgetFrom(ctx context.Context) *RetryBudget {
-	b, _ := ctx.Value(retryBudgetKey{}).(*RetryBudget)
-	return b
 }
 
 // OutageMemo remembers, for the lifetime of one query, which requests

@@ -137,7 +137,7 @@ func TestFlakyDisabled(t *testing.T) {
 
 func TestWithRetryRecovers(t *testing.T) {
 	flaky := &Flaky{Inner: okFetcher(), FailEvery: 2} // ~half of fetches fail
-	f := WithRetry(flaky, 5, &Stats{})
+	f := WithRetryPolicy(flaky, RetryPolicy{Retries: 5}, &Stats{})
 	for i := 0; i < 100; i++ {
 		if _, err := f.Fetch(NewGet("http://h/x")); err != nil {
 			t.Fatalf("retry did not recover: %v", err)
@@ -149,7 +149,7 @@ func TestWithRetryGivesUp(t *testing.T) {
 	always := FetcherFunc(func(req *Request) (*Response, error) {
 		return nil, ErrSimulatedOutage
 	})
-	f := WithRetry(always, 2, nil)
+	f := WithRetryPolicy(always, RetryPolicy{Retries: 2}, nil)
 	_, err := f.Fetch(NewGet("http://h/x"))
 	if !errors.Is(err, ErrSimulatedOutage) {
 		t.Fatalf("err = %v", err)
@@ -160,7 +160,7 @@ func TestWithRetryPassesStatusThrough(t *testing.T) {
 	notFound := FetcherFunc(func(req *Request) (*Response, error) {
 		return NotFound(req.URL), nil
 	})
-	resp, err := WithRetry(notFound, 3, nil).Fetch(NewGet("http://h/x"))
+	resp, err := WithRetryPolicy(notFound, RetryPolicy{Retries: 3}, nil).Fetch(NewGet("http://h/x"))
 	if err != nil || resp.Status != 404 {
 		t.Fatalf("404 should pass through unretried: %v %v", resp, err)
 	}
@@ -177,7 +177,7 @@ func TestWithRetryCanceledContext(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the first attempt
-	f := WithRetry(always, 100, nil)
+	f := WithRetryPolicy(always, RetryPolicy{Retries: 100}, nil)
 	_, err := f.Fetch(NewGet("http://h/x").WithContext(ctx))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -195,7 +195,7 @@ func TestWithRetryCanceledContext(t *testing.T) {
 		}
 		return nil, ErrSimulatedOutage
 	})
-	_, err = WithRetry(cancelling, 100, nil).Fetch(NewGet("http://h/y").WithContext(ctx2))
+	_, err = WithRetryPolicy(cancelling, RetryPolicy{Retries: 100}, nil).Fetch(NewGet("http://h/y").WithContext(ctx2))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-retry err = %v, want context.Canceled", err)
 	}
@@ -211,7 +211,7 @@ func TestWithRetryClassifiesTerminalFailure(t *testing.T) {
 	always := FetcherFunc(func(req *Request) (*Response, error) {
 		return nil, ErrSimulatedOutage
 	})
-	_, err := WithRetry(always, 2, nil).Fetch(NewGet("http://dead.example/x"))
+	_, err := WithRetryPolicy(always, RetryPolicy{Retries: 2}, nil).Fetch(NewGet("http://dead.example/x"))
 	if !IsOutage(err) {
 		t.Fatalf("terminal failure not classified as outage: %v", err)
 	}
@@ -308,39 +308,6 @@ func TestWithRetryPolicyBackoffWaits(t *testing.T) {
 	}
 }
 
-// TestRetryBudget: a per-query budget caps total re-issues across
-// requests sharing the context; without a budget retries are unlimited.
-func TestRetryBudget(t *testing.T) {
-	var calls atomic.Int64
-	always := FetcherFunc(func(req *Request) (*Response, error) {
-		calls.Add(1)
-		return nil, ErrSimulatedOutage
-	})
-	f := WithRetry(always, 10, nil)
-	ctx := ContextWithRetryBudget(context.Background(), NewRetryBudget(3))
-
-	_, err := f.Fetch(NewGet("http://h/a").WithContext(ctx))
-	if !IsOutage(err) {
-		t.Fatalf("err = %v", err)
-	}
-	// First request: initial attempt + 3 budgeted re-issues.
-	if calls.Load() != 4 {
-		t.Fatalf("attempts = %d, want 4 (budget of 3 re-issues)", calls.Load())
-	}
-	// Budget is shared and now dry: the next request gets one attempt.
-	calls.Store(0)
-	f.Fetch(NewGet("http://h/b").WithContext(ctx))
-	if calls.Load() != 1 {
-		t.Fatalf("attempts with dry budget = %d, want 1", calls.Load())
-	}
-	// No budget on the context: all retries run.
-	calls.Store(0)
-	f.Fetch(NewGet("http://h/c"))
-	if calls.Load() != 11 {
-		t.Fatalf("attempts without budget = %d, want 11", calls.Load())
-	}
-}
-
 // TestOutageMemoReplays: a terminal failure is decided once per request
 // key and replayed for later fetches without touching the network; other
 // keys are unaffected, and other queries (other memos) start fresh.
@@ -353,7 +320,7 @@ func TestOutageMemoReplays(t *testing.T) {
 		}
 		return HTML(req.URL, "<html><body>ok</body></html>"), nil
 	})
-	f := WithOutageMemo(WithRetry(always, 2, nil))
+	f := WithOutageMemo(WithRetryPolicy(always, RetryPolicy{Retries: 2}, nil))
 	memo := NewOutageMemo()
 	ctx := ContextWithOutageMemo(context.Background(), memo)
 

@@ -18,12 +18,12 @@ type Stats struct {
 	bytes   atomic.Int64
 	virtual atomic.Int64 // accumulated simulated latency, nanoseconds
 	// Concurrency counters, maintained by WithSingleflight and
-	// WithHostLimit.
+	// WithBulkhead.
 	deduped      atomic.Int64
 	inflight     atomic.Int64
 	peakInflight atomic.Int64
 	limiterWait  atomic.Int64 // accumulated time spent waiting for host slots, ns
-	retries      atomic.Int64 // failed attempts that WithRetry re-issued
+	retries      atomic.Int64 // failed attempts that WithRetryPolicy re-issued
 	// breakerRejects counts fetches the circuit breaker refused without
 	// touching the network.
 	breakerRejects atomic.Int64
@@ -57,17 +57,17 @@ func (s *Stats) SimulatedLatency() time.Duration {
 func (s *Stats) Deduped() int64 { return s.deduped.Load() }
 
 // PeakInFlight returns the high-water mark of concurrently executing
-// fetches observed by WithHostLimit — how parallel the fetch stack
+// fetches observed by WithBulkhead — how parallel the fetch stack
 // actually ran.
 func (s *Stats) PeakInFlight() int64 { return s.peakInflight.Load() }
 
 // LimiterWait returns the total time fetches spent queued behind the
-// per-host concurrency cap of WithHostLimit.
+// per-host concurrency cap of WithBulkhead.
 func (s *Stats) LimiterWait() time.Duration {
 	return time.Duration(s.limiterWait.Load())
 }
 
-// Retries returns how many failed fetch attempts WithRetry re-issued.
+// Retries returns how many failed fetch attempts WithRetryPolicy re-issued.
 func (s *Stats) Retries() int64 { return s.retries.Load() }
 
 // BreakerRejects returns how many fetches an open circuit breaker

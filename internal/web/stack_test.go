@@ -19,8 +19,8 @@ func buildStack(failEvery uint64, retries int) (Fetcher, *Stats, *Cache) {
 	raw := &Flaky{Inner: okFetcher(), FailEvery: failEvery}
 	f := WithRetryPolicy(raw, RetryPolicy{Retries: retries}, stats)
 	f = Counting(f, stats)
-	f = WithHostLimit(f, 2, stats)
-	f = WithBreaker(f, BreakerConfig{Window: 64, FailureRatio: 0.99,
+	f = WithBulkhead(f, 2, 0, stats)
+	f = NewBreaker(f, BreakerConfig{Window: 64, FailureRatio: 0.99,
 		Cooldown: time.Hour, Clock: newTick().Clock()}, stats)
 	f = WithOutageMemo(f)
 	f = WithSingleflight(f, stats)
@@ -137,7 +137,7 @@ func TestStackDeadHostIsolated(t *testing.T) {
 			})
 			f := WithRetryPolicy(raw, RetryPolicy{Retries: 2}, stats)
 			f = Counting(f, stats)
-			f = WithHostLimit(f, 2, stats)
+			f = WithBulkhead(f, 2, 0, stats)
 			f = WithOutageMemo(f)
 			f = WithSingleflight(f, stats)
 			cache := NewCache()

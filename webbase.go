@@ -20,17 +20,18 @@
 //
 //	world := webbase.NewSimulatedWorld()          // the built-in 12-site car Web
 //	wb, err := webbase.New(webbase.Config{Fetcher: world.Server})
-//	res, stats, err := wb.QueryString(
+//	res, stats, err := wb.QueryString(context.Background(),
 //	    "SELECT Make, Model, Year, Price, BBPrice " +
 //	    "WHERE Make = 'jaguar' AND Year >= 1993 AND Safety = 'good' " +
 //	    "AND Condition = 'good' AND Price < BBPrice")
 //	fmt.Println(res.Relation, stats)
 //
-// Every query can be observed as well as answered: System.QueryTraced
-// returns a span tree mirroring the layered evaluation (query → maximal
-// object → operator → handle → page fetch), System.ExplainAnalyze renders
-// the plan annotated with actual per-operator cardinalities and costs, and
-// System.Metrics aggregates counters/gauges/histograms across queries.
+// Every query takes a context first and can be observed as well as
+// answered: System.QueryStreamTraced returns a span tree mirroring the
+// layered evaluation (query → maximal object → operator → handle → page
+// fetch), System.ExplainAnalyze renders the plan annotated with actual
+// per-operator cardinalities and costs, and System.Metrics aggregates
+// counters/gauges/histograms across queries.
 //
 // The package re-exports the types needed to use the system; the
 // implementation lives under internal/ (relation, htmlkit, web, sites,
@@ -73,7 +74,8 @@ type (
 	// Value is a dynamically typed relational value.
 	Value = relation.Value
 
-	// Trace is one query's execution-span tree (from System.QueryTraced).
+	// Trace is one query's execution-span tree (from
+	// System.QueryStreamTraced).
 	Trace = trace.Trace
 	// MetricsRegistry aggregates counters, gauges and histograms across
 	// queries (from System.Metrics).
