@@ -13,7 +13,7 @@
 //	webbase -failevery 3 -strict    "SELECT ..."       # ... or fail fast instead
 //	webbase -breaker-threshold 0.5 -allow-stale "SELECT ..."   # breaker + stale-on-error
 //	webbase -max-inflight 8 -queue-depth 8 -deadline 500ms -hedge-after 50ms "SELECT ..."   # overload protection
-//	webbase -prune -stats    "SELECT ... LIMIT 3"      # skip fetches that cannot contribute answers
+//	webbase -stats           "SELECT ... LIMIT 3"    # pruned=N: accesses skipped as irrelevant to the answer
 //
 // The query language is the structured universal relation interface of
 // Section 6: name output attributes, constrain others; the system figures
@@ -57,11 +57,9 @@ func main() {
 		hedgeAfter  = flag.Duration("hedge-after", 0, "issue a second attempt for any fetch still unanswered after this delay (0 = off)")
 		hostQueue   = flag.Int("host-queue", 0, "per-host bulkhead wait-queue bound; fetches beyond it are shed (0 = unbounded)")
 		hedgeBudget = flag.Int64("hedge-budget", 0, "max hedged (duplicate) fetch attempts per query (0 = unlimited)")
-		queryClass  = flag.String("query-class", "interactive", "admission class: interactive (shed last) or batch (shed first)")
 		driftThr    = flag.Int("drift-threshold", 0, "drift reports that confirm a site redesign and quarantine the site (0 = default 2)")
 		maxRepairs  = flag.Int("max-repair-attempts", 0, "background remap attempts per quarantined site (0 = default 3)")
 		repairWait  = flag.Duration("repair-backoff", 0, "wait before the second remap attempt, doubling per attempt (0 = default 100ms)")
-		pruneOn     = flag.Bool("prune", false, "skip page fetches that cannot contribute answer tuples (access-relevance pruning)")
 	)
 	flag.Parse()
 
@@ -85,15 +83,6 @@ func main() {
 	cfg.DriftThreshold = *driftThr
 	cfg.MaxRepairAttempts = *maxRepairs
 	cfg.RepairBackoff = *repairWait
-	cfg.Prune = *pruneOn
-	switch *queryClass {
-	case "interactive":
-		cfg.QueryClass = webbase.ClassInteractive
-	case "batch":
-		cfg.QueryClass = webbase.ClassBatch
-	default:
-		fatal(fmt.Errorf("unknown -query-class %q (interactive or batch)", *queryClass))
-	}
 	if *breakerThr > 0 {
 		cfg.Breaker = &webbase.BreakerConfig{FailureRatio: *breakerThr}
 	}

@@ -110,7 +110,6 @@ func main() {
 		cacheMaxAge = flag.Duration("cache-maxage", 0, "cached pages older than this no longer count as fresh (0 = never expire)")
 		driftThr    = flag.Int("drift-threshold", 0, "drift reports that confirm a site redesign (0 = default 2)")
 		maxBody     = flag.Int64("max-body", 0, "request body size bound in bytes (0 = default 1MiB)")
-		pruneOn     = flag.Bool("prune", false, "skip page fetches that cannot contribute answer tuples (access-relevance pruning)")
 		stateDir    = flag.String("state-dir", "", "durable state directory: persist warmed pages, repaired maps and breaker/health verdicts across restarts (empty = no persistence)")
 		stateMax    = flag.Int64("state-max-bytes", 0, "size bound for the durable page tier; least-recently-used pages are evicted past it (0 = unbounded)")
 		recoveryBkf = flag.Duration("recovery-backoff", 0, "re-probe repair-exhausted quarantined sites in the background, starting at this interval and doubling (0 = off)")
@@ -131,7 +130,6 @@ func main() {
 		AllowStale:      *allowStale,
 		CacheMaxAge:     *cacheMaxAge,
 		DriftThreshold:  *driftThr,
-		Prune:           *pruneOn,
 		StateDir:        *stateDir,
 		StateMaxBytes:   *stateMax,
 		RecoveryBackoff: *recoveryBkf,

@@ -53,16 +53,14 @@ func (c QueryClass) String() string {
 type queryClassKey struct{}
 
 // WithQueryClass marks ctx so queries issued under it are admitted at the
-// given class, overriding Config.QueryClass.
+// given class; unmarked queries are ClassInteractive.
 func WithQueryClass(ctx context.Context, c QueryClass) context.Context {
 	return context.WithValue(ctx, queryClassKey{}, c)
 }
 
-func queryClassFrom(ctx context.Context, def QueryClass) QueryClass {
-	if c, ok := ctx.Value(queryClassKey{}).(QueryClass); ok {
-		return c
-	}
-	return def
+func queryClassFrom(ctx context.Context) QueryClass {
+	c, _ := ctx.Value(queryClassKey{}).(QueryClass) // zero value: ClassInteractive
+	return c
 }
 
 // admitWaiter is one queued query; granted is closed by release when an

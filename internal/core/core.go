@@ -116,10 +116,6 @@ type Config struct {
 	// wait for their primary attempt instead of doubling load. 0 =
 	// unlimited (every eligible fetch may hedge).
 	HedgeBudget int64
-	// QueryClass is the default admission class of this webbase's
-	// queries; WithQueryClass overrides it per query. Under overload the
-	// gate sheds ClassBatch before ClassInteractive.
-	QueryClass QueryClass
 	// DriftThreshold is how many drift-degraded queries confirm a site
 	// redesign and quarantine the site (self-healing; active only when
 	// the Domain supplies SampleInputs). <= 0 means 2 — one bad page
@@ -155,15 +151,6 @@ type Config struct {
 	// quarantined-then-fixed site eventually heals without a restart. 0
 	// keeps exhaustion terminal (the historical behavior).
 	RecoveryBackoff time.Duration
-	// Prune enables runtime access-relevance pruning (Benedikt, Gottlob &
-	// Senellart): handle invocations whose bound inputs already violate
-	// the query's WHERE clause are skipped before any page is fetched,
-	// dependent-join feeds whose upstream bindings are doomed are never
-	// invoked, and — for LIMIT queries where truncation is
-	// order-oblivious — maximal objects stop launching once the limit is
-	// satisfied. The answer is always byte-identical to the unpruned one;
-	// only the fetch count changes. Off by default.
-	Prune bool
 }
 
 // Webbase is an assembled three-layer webbase.
@@ -181,10 +168,11 @@ type Webbase struct {
 	metrics     *trace.Registry
 	hedgeBudget int64
 	strict      bool
-	prune       bool
 	admission   *admission
 	deadline    time.Duration
-	class       QueryClass
+	// unpruned evaluates without access-relevance pruning: the reference
+	// the package's differential tests compare the pruned answers with.
+	unpruned bool
 
 	// Self-healing: health tracks per-site drift state and drives the
 	// background repair worker; repairFetcher is the middleware stack
@@ -245,8 +233,8 @@ func NewDomain(cfg Config, d Domain) (*Webbase, error) {
 	}
 	wb := &Webbase{stats: &web.Stats{}, workers: cfg.Workers,
 		clock: cfg.Clock, metrics: trace.NewRegistry(),
-		hedgeBudget: cfg.HedgeBudget, strict: cfg.Strict, prune: cfg.Prune,
-		class: cfg.QueryClass, sampleInputs: d.SampleInputs}
+		hedgeBudget: cfg.HedgeBudget, strict: cfg.Strict,
+		sampleInputs: d.SampleInputs}
 	if wb.workers <= 0 {
 		wb.workers = runtime.GOMAXPROCS(0)
 	}
@@ -337,6 +325,10 @@ func NewDomain(cfg Config, d Domain) (*Webbase, error) {
 	wb.fetcher = f
 	wb.deadline = cfg.Deadline
 	wb.admission = newAdmission(cfg.MaxInFlight, cfg.QueueDepth, wb.metrics, cfg.Clock)
+	wb.metrics.Counter("fetches_pruned_total")
+	for _, r := range []string{prune.ReasonUnsatWhere, prune.ReasonLimit} {
+		wb.metrics.Counter(prunedMetric(r))
+	}
 
 	reg, err := d.Registry()
 	if err != nil {
@@ -535,8 +527,9 @@ type QueryStats struct {
 	// pruning during this query — handle invocations, dependent-join
 	// feeds and whole maximal objects that provably could not contribute
 	// answer tuples. PrunedByReason breaks the count down by decision
-	// rule (prune.ReasonUnsatWhere, prune.ReasonLimit). Zero/nil unless
-	// Config.Prune is on.
+	// rule (prune.ReasonUnsatWhere, prune.ReasonLimit). LIMIT skips depend
+	// on completion order, so at Workers > 1 the count may vary between
+	// runs; the answer does not.
 	PrunedFetches  int64
 	PrunedByReason map[string]int64
 }
@@ -591,7 +584,7 @@ func (wb *Webbase) QueryStreamTraced(ctx context.Context, q ur.Query, sink ur.Ob
 // query is the one admission point of every query: it waits for the
 // gate, then evaluates, under a fresh trace when traced is set.
 func (wb *Webbase) query(ctx context.Context, q ur.Query, sink ur.ObjectSink, traced bool) (*ur.Result, *QueryStats, *trace.Trace, error) {
-	wait, err := wb.admission.acquire(ctx, queryClassFrom(ctx, wb.class))
+	wait, err := wb.admission.acquire(ctx, queryClassFrom(ctx))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -645,7 +638,7 @@ func (wb *Webbase) runAdmitted(ctx context.Context, q ur.Query, admissionWait ti
 	// dependent-join feeds, ur stops launching objects once LIMIT is
 	// satisfied).
 	var pst *prune.State
-	if wb.prune {
+	if !wb.unpruned {
 		pst = ur.NewPruneState(q)
 		ctx = prune.ContextWith(ctx, pst)
 	}
@@ -656,10 +649,8 @@ func (wb *Webbase) runAdmitted(ctx context.Context, q ur.Query, admissionWait ti
 	}
 	qs := wb.delta(before, wb.now().Sub(start))
 	qs.AdmissionWait = admissionWait
-	if pst != nil {
-		qs.PrunedFetches = pst.Total()
-		qs.PrunedByReason = pst.Counts()
-	}
+	qs.PrunedFetches = pst.Total()
+	qs.PrunedByReason = pst.Counts()
 	// Degradation is reported whenever the answer differs from (or was
 	// rescued relative to) the fully-healthy one: objects lost to
 	// outages, or pages served stale.
@@ -701,13 +692,9 @@ func (wb *Webbase) observe(qs *QueryStats) {
 	m.Counter("budget_shed_total").Add(qs.BudgetSheds)
 	m.Counter("hedges_suppressed_total").Add(qs.HedgesSuppressed)
 	m.Counter("site_drift_detected_total").Add(int64(qs.DriftDetected))
-	if wb.prune {
-		// Registered only on pruning-enabled webbases, so a pruning-off
-		// /metrics page is byte-identical to the historical one.
-		m.Counter("fetches_pruned_total").Add(qs.PrunedFetches)
-		for r, n := range qs.PrunedByReason {
-			m.Counter(`fetches_pruned_total{reason="` + r + `"}`).Add(n)
-		}
+	m.Counter("fetches_pruned_total").Add(qs.PrunedFetches)
+	for r, n := range qs.PrunedByReason {
+		m.Counter(prunedMetric(r)).Add(n)
 	}
 	if qs.DegradedObjects > 0 {
 		m.Counter("queries_degraded_total").Add(1)
@@ -719,6 +706,11 @@ func (wb *Webbase) observe(qs *QueryStats) {
 	if qs.AdmissionWait > 0 {
 		m.Histogram("admission_wait_seconds", 0.001, 0.01, 0.1, 1, 10).Observe(qs.AdmissionWait.Seconds())
 	}
+}
+
+// prunedMetric names the per-reason series of fetches_pruned_total.
+func prunedMetric(reason string) string {
+	return `fetches_pruned_total{reason="` + reason + `"}`
 }
 
 // QueryString parses and evaluates the CLI query syntax

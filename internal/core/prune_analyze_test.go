@@ -11,7 +11,7 @@ import (
 	"webbase/internal/ur"
 )
 
-// Golden EXPLAIN ANALYZE renders with pruning on (Workers=1, so the
+// Golden EXPLAIN ANALYZE renders of pruned queries (Workers=1, so the
 // pruned spans and counts are deterministic). The apartments query is
 // statically unsatisfiable, so every handle invocation the binding
 // analysis allows is pruned pre-fetch (pruned=1 spans, zero pages); the
@@ -70,7 +70,7 @@ func prunedFooterLine(out string) string {
 }
 
 func TestExplainAnalyzePrunedGoldenApartments(t *testing.T) {
-	wb, err := NewDomain(Config{Fetcher: apartments.BuildWorld().Server, Workers: 1, Prune: true}, Domain{
+	wb, err := NewDomain(Config{Fetcher: apartments.BuildWorld().Server, Workers: 1}, Domain{
 		Registry: apartments.Registry,
 		Logical:  apartments.Logical,
 		UR:       apartments.UR,
@@ -100,7 +100,7 @@ func TestExplainAnalyzePrunedGoldenApartments(t *testing.T) {
 }
 
 func TestExplainAnalyzePrunedGoldenUsedCars(t *testing.T) {
-	wb, err := New(Config{Fetcher: sites.BuildWorld().Server, Workers: 1, Prune: true})
+	wb, err := New(Config{Fetcher: sites.BuildWorld().Server, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +134,22 @@ func TestExplainAnalyzePrunedGoldenUsedCars(t *testing.T) {
 // TestPruneMetricsAgreement pins the accounting identity: the
 // fetches_pruned_total counter (and its per-reason labels) accumulated by
 // the metrics registry must equal the QueryStats.PrunedFetches /
-// PrunedByReason sums over the queries that ran — and with pruning off,
-// the counter must not even exist, keeping the historical /metrics
-// output byte-identical.
+// PrunedByReason sums over the queries that ran — and a fresh webbase
+// lists the counter and both reason series at 0 before any query.
 func TestPruneMetricsAgreement(t *testing.T) {
-	wb, err := New(Config{Fetcher: sites.BuildWorld().Server, Workers: 1, Prune: true})
+	wb, err := New(Config{Fetcher: sites.BuildWorld().Server, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	fresh := wb.Metrics().Snapshot().Counters
+	for _, name := range []string{
+		"fetches_pruned_total",
+		`fetches_pruned_total{reason="unsat-where"}`,
+		`fetches_pruned_total{reason="limit"}`,
+	} {
+		if n, ok := fresh[name]; !ok || n != 0 {
+			t.Errorf("fresh webbase: %s = %d (registered=%v), want 0 and registered", name, n, ok)
+		}
 	}
 	queries := []string{
 		"SELECT Make, Model, Year, Price WHERE Make = 'ford' LIMIT 1",
@@ -176,21 +185,5 @@ func TestPruneMetricsAgreement(t *testing.T) {
 	}
 	if labelled != total {
 		t.Errorf("per-reason sums (%d) disagree with total (%d)", labelled, total)
-	}
-
-	// Pruning off: no pruning counters registered at all.
-	off, err := New(Config{Fetcher: sites.BuildWorld().Server, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, text := range queries {
-		if _, _, err := off.QueryString(context.Background(), text); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for name := range off.Metrics().Snapshot().Counters {
-		if strings.HasPrefix(name, "fetches_pruned_total") {
-			t.Errorf("pruning disabled but counter %q registered", name)
-		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"webbase/internal/sites"
+	"webbase/internal/ur"
 	"webbase/internal/web"
 )
 
@@ -31,9 +32,9 @@ type pruneChaosResult struct {
 	failed []string
 }
 
-func pruneChaosOutcome(t *testing.T, cfg Config, query string) pruneChaosResult {
+func pruneChaosOutcome(t *testing.T, cfg Config, prune bool, query string) pruneChaosResult {
 	t.Helper()
-	wb, err := New(cfg)
+	wb, err := newWebbase(New, cfg, prune)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +95,7 @@ func TestPruneChaosFlaky(t *testing.T) {
 					Fetcher: &web.Flaky{Inner: sites.BuildWorld().Server, FailEvery: failEvery},
 					Workers: workers,
 					Retries: 2,
-					Prune:   prune,
-				}, wideCarQuery)
+				}, prune, wideCarQuery)
 			}
 			off1, on1 := mk(1, false), mk(1, true)
 			comparePruneChaos(t, "workers=1", off1, on1)
@@ -124,7 +124,7 @@ func TestPruneChaosStaleDrift(t *testing.T) {
 			Inner:    sites.BuildWorld().Server,
 			Rewrites: map[string][]web.Rewrite{sites.NewsdayHost: {{Old: ">Automobiles<", New: ">Cars and Trucks<"}}},
 		}
-		wb, err := New(Config{
+		wb, err := newWebbase(New, Config{
 			Fetcher:           &web.Flaky{Inner: rd, FailEvery: failEvery},
 			Workers:           workers,
 			Retries:           2,
@@ -134,8 +134,7 @@ func TestPruneChaosStaleDrift(t *testing.T) {
 			DriftThreshold:    2,
 			MaxRepairAttempts: 2,
 			RepairBackoff:     time.Millisecond,
-			Prune:             prune,
-		})
+		}, prune)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,8 +202,7 @@ func TestPruneChaosDeadlineBudget(t *testing.T) {
 			Workers:  workers,
 			Retries:  2,
 			Deadline: time.Hour,
-			Prune:    prune,
-		}, wideCarQuery)
+		}, prune, wideCarQuery)
 	}
 	for _, workers := range []int{1, 8} {
 		comparePruneChaos(t, fmt.Sprintf("workers=%d", workers), mk(workers, false), mk(workers, true))
@@ -224,11 +222,10 @@ func TestPruneChaosDeadlineBudget(t *testing.T) {
 func TestPrunedBeforeFailureAbsentFromDegradation(t *testing.T) {
 	const q = "SELECT Make, Model, Year, Price WHERE Make = 'ford' LIMIT 1"
 	mk := func(prune bool) (*Webbase, error) {
-		return New(Config{
+		return newWebbase(New, Config{
 			Fetcher: &hostDownFetcher{inner: sites.BuildWorld().Server, down: sites.CarPointHost},
 			Workers: 1,
-			Prune:   prune,
-		})
+		}, prune)
 	}
 	off, err := mk(false)
 	if err != nil {
@@ -260,5 +257,46 @@ func TestPrunedBeforeFailureAbsentFromDegradation(t *testing.T) {
 	if resOn.Relation.String() != resOff.Relation.String() {
 		t.Errorf("answers diverge\n--- prune=off ---\n%s\n--- prune=on ---\n%s",
 			resOff.Relation, resOn.Relation)
+	}
+}
+
+// TestLimitOutageDeterministicAcrossWorkers pins the LIMIT early-exit's
+// reporting rule under an outage. LIMIT 1 is satisfied by the first
+// plan-order object, and the dealer sites' object behind it fails on a
+// dead host. At Workers=1 that object is never launched; at Workers=8 it
+// usually runs, and fails, beside the first. Either way it lies past the
+// answer-defining prefix, so neither its failure nor anything else of it
+// may reach the Result: relation, skip list, degradation report and
+// stream must be byte-identical at both worker counts.
+func TestLimitOutageDeterministicAcrossWorkers(t *testing.T) {
+	const text = "SELECT Make, Model, Year, Price WHERE Make = 'ford' LIMIT 1"
+	run := func(workers int) string {
+		wb, err := New(Config{
+			Fetcher: &hostDownFetcher{inner: sites.BuildWorld().Server, down: sites.CarPointHost},
+			Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := ur.ParseQuery(wb.UR, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ds []ur.ObjectDelivery
+		res, _, err := wb.QueryStream(context.Background(), q,
+			func(d ur.ObjectDelivery) { ds = append(ds, d) })
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return renderDeliveries(ds) + "---\n" + renderOutcome(res)
+	}
+	seq := run(1)
+	if strings.Contains(seq, "degraded") {
+		t.Fatalf("sequential run reports the unlaunched object's outage:\n%s", seq)
+	}
+	for i := 0; i < 5; i++ {
+		if par := run(8); par != seq {
+			t.Fatalf("workers=8 diverges from workers=1\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
+		}
 	}
 }

@@ -10,14 +10,26 @@ import (
 	"webbase/internal/ur"
 )
 
-// The differential property suite behind Config.Prune: for a corpus of
-// query shapes (selection constants present and absent, ORDER BY, LIMIT
-// 0/1/n, dependent joins, statically unsatisfiable clauses), the pruned
-// evaluation must be observationally identical to the unpruned one —
+// The differential property suite behind access-relevance pruning: for a
+// corpus of query shapes (selection constants present and absent, ORDER
+// BY, LIMIT 0/1/n, dependent joins, statically unsatisfiable clauses),
+// the pruned evaluation every query runs must be observationally
+// identical to the unpruned reference (newWebbase with prune off) —
 // byte-identical answer relation, skipped objects, degradation report and
 // stream deliveries — at Workers=1 and Workers=8, while never fetching
 // more pages and fetching strictly fewer on the seeded cases where
 // pruning provably bites.
+
+// newWebbase builds a webbase; prune=false switches it to the unpruned
+// reference evaluation the differential tests compare against.
+func newWebbase(build func(Config) (*Webbase, error), cfg Config, prune bool) (*Webbase, error) {
+	wb, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	wb.unpruned = !prune
+	return wb, nil
+}
 
 type pruneDiffDomain struct {
 	name  string
@@ -131,7 +143,7 @@ func TestPruneDifferential(t *testing.T) {
 					// workers × prune matrix, every cell on a fresh webbase
 					// so caches cannot leak savings across runs.
 					run := func(workers int, prune bool) outcome {
-						wb, err := dom.build(Config{Workers: workers, Prune: prune})
+						wb, err := newWebbase(dom.build, Config{Workers: workers}, prune)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -201,7 +213,7 @@ func TestPruneDifferentialStream(t *testing.T) {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
 					run := func(workers int, prune bool) string {
-						wb, err := dom.build(Config{Workers: workers, Prune: prune})
+						wb, err := newWebbase(dom.build, Config{Workers: workers}, prune)
 						if err != nil {
 							t.Fatal(err)
 						}

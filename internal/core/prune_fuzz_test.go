@@ -15,11 +15,11 @@ var pruneFuzzOff, pruneFuzzOn *Webbase
 func pruneFuzzSystems(tb testing.TB) (*Webbase, *Webbase) {
 	pruneFuzzOnce.Do(func() {
 		var err error
-		pruneFuzzOff, err = New(Config{Fetcher: sites.BuildWorld().Server, Workers: 2})
+		pruneFuzzOff, err = newWebbase(New, Config{Fetcher: sites.BuildWorld().Server, Workers: 2}, false)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		pruneFuzzOn, err = New(Config{Fetcher: sites.BuildWorld().Server, Workers: 2, Prune: true})
+		pruneFuzzOn, err = New(Config{Fetcher: sites.BuildWorld().Server, Workers: 2})
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -24,9 +24,12 @@
 //
 // Rules 1–2 are pure functions of deterministic inputs, so with a fixed
 // worker count the pruned spans and counts are reproducible. Rule 3
-// depends on completion order (like cache hits): the answer is always
-// byte-identical, but how many objects are skipped can vary with the
-// schedule.
+// depends on completion order (like cache hits): how many objects are
+// skipped can vary with the schedule. What the query reports does not:
+// the UR layer drops every object after the first plan-order prefix
+// holding ≥ n distinct tuples (LimitPrefix) — its tuples, failure or
+// skip — whether or not it ran, so the answer and its degradation report
+// are those of a sequential run.
 package prune
 
 import (
@@ -106,11 +109,14 @@ type shared struct {
 	// completed prefix of the plan order. Only that prefix is sound to
 	// count — the answer is the plan-order union, so tuples from a later
 	// object cannot displace the first n distinct tuples of the prefix.
+	// prefixEnd is the length of the prefix whose last object first
+	// brought prefixLen to the limit (0 while unsatisfied).
 	done       []bool
 	keys       [][]string
 	prefixNext int
 	seen       map[string]struct{}
 	prefixLen  int
+	prefixEnd  int
 }
 
 // State is the compiled relevance state of one query: its conjuncts, the
@@ -354,6 +360,7 @@ func (st *State) BeginObjects(n int) {
 	st.sh.prefixNext = 0
 	st.sh.seen = make(map[string]struct{})
 	st.sh.prefixLen = 0
+	st.sh.prefixEnd = 0
 }
 
 // ObjectDone records that plan-order object i finished with the given
@@ -379,19 +386,24 @@ func (st *State) ObjectDone(i int, keys []string) {
 		}
 		st.sh.keys[st.sh.prefixNext] = nil
 		st.sh.prefixNext++
+		if st.sh.prefixEnd == 0 && st.sh.prefixLen >= st.limit {
+			st.sh.prefixEnd = st.sh.prefixNext
+		}
 	}
 }
 
-// LimitSatisfied reports whether the completed contiguous plan-order
-// prefix already holds at least LIMIT distinct tuples — the condition
-// under which every not-yet-started object is irrelevant.
-func (st *State) LimitSatisfied() bool {
+// LimitPrefix returns how many plan-order objects the answer depends on:
+// the shortest completed prefix holding at least LIMIT distinct tuples.
+// Every object after it is irrelevant, whether it has not started yet or
+// has already run. ok is false while the early-exit is unarmed or the
+// limit unsatisfied.
+func (st *State) LimitPrefix() (n int, ok bool) {
 	if st == nil || st.limit <= 0 {
-		return false
+		return 0, false
 	}
 	st.sh.mu.Lock()
 	defer st.sh.mu.Unlock()
-	return st.sh.prefixLen >= st.limit
+	return st.sh.prefixEnd, st.sh.prefixEnd > 0
 }
 
 type ctxKey struct{}

@@ -230,38 +230,54 @@ func TestCountsAndReasons(t *testing.T) {
 	}
 }
 
+// satisfied reports whether st's LIMIT early-exit has fired.
+func satisfied(st *State) bool {
+	_, ok := st.LimitPrefix()
+	return ok
+}
+
 func TestLimitTracker(t *testing.T) {
 	st := NewState(nil, 2)
 	if !st.LimitArmed() {
 		t.Fatal("limit should be armed")
 	}
 	st.BeginObjects(4)
-	if st.LimitSatisfied() {
+	if satisfied(st) {
 		t.Error("satisfied before any object finished")
 	}
 
 	// Object 1 finishing out of order must not count: the plan-order
 	// prefix is still open at object 0.
 	st.ObjectDone(1, []string{"a", "b"})
-	if st.LimitSatisfied() {
+	if satisfied(st) {
 		t.Error("out-of-order completion must not satisfy the limit")
 	}
 	// Object 0 closes the prefix; its tuple plus object 1's two distinct
 	// ones reach the limit (duplicate keys collapse).
 	st.ObjectDone(0, []string{"a"})
-	if !st.LimitSatisfied() {
+	if !satisfied(st) {
 		t.Error("limit should be satisfied: prefix holds {a, b}")
+	}
+	// The answer depends on objects 0 and 1 only; a later completion
+	// cannot move the prefix.
+	st.ObjectDone(3, []string{"c"})
+	st.ObjectDone(2, []string{"d"})
+	if n, ok := st.LimitPrefix(); !ok || n != 2 {
+		t.Errorf("LimitPrefix() = %d, %v; want 2, true", n, ok)
 	}
 
 	// A failed object (nil keys) advances the prefix without contributing.
 	st2 := NewState(nil, 1)
 	st2.BeginObjects(3)
 	st2.ObjectDone(0, nil)
-	if st2.LimitSatisfied() {
+	if satisfied(st2) {
 		t.Error("failed object contributes nothing")
 	}
+	if _, ok := st2.LimitPrefix(); ok {
+		t.Error("LimitPrefix reported before the limit was reached")
+	}
 	st2.ObjectDone(1, []string{"x"})
-	if !st2.LimitSatisfied() {
+	if !satisfied(st2) {
 		t.Error("prefix {fail, x} holds 1 distinct tuple")
 	}
 
@@ -270,14 +286,14 @@ func TestLimitTracker(t *testing.T) {
 	st3 := NewState(nil, 0)
 	st3.BeginObjects(2) // unarmed: no-op
 	st3.ObjectDone(0, []string{"k"})
-	if st3.LimitSatisfied() {
+	if satisfied(st3) {
 		t.Error("unarmed state never satisfies")
 	}
 }
 
 func TestNilStateInert(t *testing.T) {
 	var st *State
-	if st.Unsat() || st.LimitArmed() || st.LimitSatisfied() || st.Total() != 0 {
+	if st.Unsat() || st.LimitArmed() || satisfied(st) || st.Total() != 0 {
 		t.Error("nil state must report nothing prunable")
 	}
 	if st.IrrelevantInputs(map[string]relation.Value{"A": relation.Int(1)}) {

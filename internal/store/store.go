@@ -34,8 +34,9 @@ const fileExt = ".wbs"
 // Options tunes Open.
 type Options struct {
 	// Metrics, when non-nil, receives store_corrupt_total{tier=...} on
-	// every integrity failure and store_write_failed_total{tier=...} on
-	// write errors.
+	// every integrity failure, store_evicted_total{tier=...} on every
+	// eviction and store_write_failed_total{tier=...} on write errors.
+	// Open registers the three totals at 0.
 	Metrics *trace.Registry
 	// FS is the filesystem seam; nil means the real filesystem with
 	// atomic writes. Tests inject FaultFS.
@@ -61,6 +62,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("store: opening state dir %s: %w", dir, err)
+	}
+	if m := opts.Metrics; m != nil {
+		for _, name := range []string{"store_corrupt_total", "store_evicted_total", "store_write_failed_total"} {
+			m.Counter(name)
+		}
 	}
 	return &Store{dir: dir, fs: fs, metrics: opts.Metrics}, nil
 }
@@ -190,8 +196,7 @@ func (s *Store) CountCorrupt(tier string) {
 // CountEvicted counts one eviction against a tier
 // (store_evicted_total{tier=...}): a page evicted past the size bound,
 // a superseded map version, or a stale snapshot GCed at boot or on
-// transition. Registered lazily, so a store that never evicts renders
-// the historical /metrics page byte-identically.
+// transition.
 func (s *Store) CountEvicted(tier string) {
 	if s == nil || s.metrics == nil {
 		return

@@ -57,6 +57,19 @@ func TestStoreMissIsNotExist(t *testing.T) {
 	}
 }
 
+// TestStoreMetricsRegisteredAtOpen: a freshly opened store lists its
+// three failure totals at 0, before anything has failed.
+func TestStoreMetricsRegisteredAtOpen(t *testing.T) {
+	reg := trace.NewRegistry()
+	openTest(t, Options{Metrics: reg})
+	counters := reg.Snapshot().Counters
+	for _, name := range []string{"store_corrupt_total", "store_evicted_total", "store_write_failed_total"} {
+		if n, ok := counters[name]; !ok || n != 0 {
+			t.Errorf("%s = %d (registered=%v), want 0 and registered", name, n, ok)
+		}
+	}
+}
+
 func TestStoreDeleteAndScan(t *testing.T) {
 	s := openTest(t, Options{})
 	for i := 0; i < 5; i++ {

@@ -406,14 +406,14 @@ func (s *Schema) Eval(ctx context.Context, q Query, cat algebra.Catalog, sink Ob
 	// Every object evaluates even when a sibling fails: binding-failure
 	// errors must not abort the other objects' partial answers.
 	errs := algebra.ForEach(ctx, len(plan.Objects), false, func(i int) error {
-		if pst.LimitArmed() && pst.LimitSatisfied() {
+		if _, done := pst.LimitPrefix(); done {
 			// Earlier objects already satisfy LIMIT n: the answer is the
 			// plan-order union truncated to n, so nothing this object could
 			// return survives. Contribute ∅ without evaluating (or fetching)
 			// anything. Which objects are skipped depends on completion
 			// order — like cache hits, the saving is schedule-dependent —
-			// but the contribution is provably empty either way, so the
-			// answer stays byte-identical.
+			// but every object past the prefix is dropped below whether
+			// it ran or not, so the Result is not.
 			rels[i] = relation.New("", relation.Schema(q.Output))
 			pst.Count(prune.ReasonLimit)
 			pst.ObjectDone(i, nil)
@@ -474,8 +474,17 @@ func (s *Schema) Eval(ctx context.Context, q Query, cat algebra.Catalog, sink Ob
 		gate.complete(i, rel, err)
 		return err
 	})
+	// The answer depends only on the first plan-order prefix holding
+	// ≥ LIMIT distinct tuples. An object after it contributes no tuples,
+	// failure or skip whether or not it ran — sequentially it never
+	// launched, in parallel it may have raced the prefix — so the Result
+	// is the same at every worker count; only the work saved varies.
+	relevant := len(plan.Objects)
+	if n, ok := pst.LimitPrefix(); ok {
+		relevant = n
+	}
 	var firstOutage error
-	for i, obj := range plan.Objects {
+	for i, obj := range plan.Objects[:relevant] {
 		rel, err := rels[i], errs[i]
 		if err != nil {
 			if isBindingFailure(err) {

@@ -14,7 +14,7 @@ import (
 //
 // Classification rides the error chain: Mark wraps an error with a
 // FaultClass that errors.Is surfaces through the standard sentinels
-// (ErrTransient, ErrOutage, ErrSiteAnswer), and HostError pins the
+// (ErrOutage, ErrSiteAnswer, ErrSiteDrift), and HostError pins the
 // failure to the host that caused it so degradation reports can name the
 // site. Context cancellation is deliberately outside the taxonomy:
 // context.Canceled / DeadlineExceeded pass through every middleware
@@ -27,9 +27,6 @@ const (
 	// FaultUnknown marks errors outside the taxonomy (including context
 	// cancellation, which is never a site fault).
 	FaultUnknown FaultClass = iota
-	// FaultTransient marks failures worth retrying: the site may answer
-	// on the next attempt.
-	FaultTransient
 	// FaultOutage marks terminal failures: retries are exhausted or the
 	// breaker is open; the site is unreachable for this query.
 	FaultOutage
@@ -47,8 +44,6 @@ const (
 // String renders the class name.
 func (c FaultClass) String() string {
 	switch c {
-	case FaultTransient:
-		return "transient"
 	case FaultOutage:
 		return "outage"
 	case FaultSiteAnswer:
@@ -62,8 +57,6 @@ func (c FaultClass) String() string {
 
 // Taxonomy sentinels: match with errors.Is.
 var (
-	// ErrTransient matches failures classified as retryable.
-	ErrTransient = errors.New("web: transient failure")
 	// ErrOutage matches terminal site failures (retries exhausted,
 	// breaker open, host down).
 	ErrOutage = errors.New("web: site outage")
@@ -96,8 +89,6 @@ func (e *classified) Unwrap() error { return e.err }
 // sentinel appearing verbatim in the chain.
 func (e *classified) Is(target error) bool {
 	switch target {
-	case ErrTransient:
-		return e.class == FaultTransient
 	case ErrOutage:
 		return e.class == FaultOutage
 	case ErrSiteAnswer:
@@ -129,9 +120,6 @@ func MarkDrift(err error) error { return Mark(FaultDrift, err) }
 
 // IsOutage reports whether err is classified as a terminal site outage.
 func IsOutage(err error) bool { return errors.Is(err, ErrOutage) }
-
-// IsTransient reports whether err is classified as retryable.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
 // IsSiteAnswer reports whether err carries the site's own answer.
 func IsSiteAnswer(err error) bool { return errors.Is(err, ErrSiteAnswer) }

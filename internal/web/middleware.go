@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"hash/fnv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,7 +127,7 @@ func HostOf(rawurl string) string { return hostOf(rawurl) }
 func hostOf(rawurl string) string {
 	// Cheap host extraction; URLs in the simulator are well-formed.
 	const scheme = "://"
-	i := indexOf(rawurl, scheme)
+	i := strings.Index(rawurl, scheme)
 	if i < 0 {
 		return rawurl
 	}
@@ -137,15 +138,6 @@ func hostOf(rawurl string) string {
 		}
 	}
 	return rest
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
 }
 
 // Counting wraps inner so that every fetch is recorded in stats. A fetch

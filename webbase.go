@@ -112,8 +112,8 @@ type (
 	Redesign = web.Redesign
 	// Rewrite is one textual substitution a Redesign applies.
 	Rewrite = web.Rewrite
-	// QueryClass is a query's admission priority (Config.QueryClass,
-	// WithQueryClass); under overload ClassBatch sheds first.
+	// QueryClass is a query's admission priority (WithQueryClass);
+	// under overload ClassBatch sheds first.
 	QueryClass = core.QueryClass
 	// World is the built-in simulated car-shopping Web with its
 	// ground-truth datasets.
@@ -161,8 +161,6 @@ var (
 	// IsOutage reports a terminal site failure (retries exhausted,
 	// breaker open, host down).
 	IsOutage = web.IsOutage
-	// IsTransient reports a retryable failure.
-	IsTransient = web.IsTransient
 	// IsSiteAnswer reports that the site answered, unsuccessfully
 	// (e.g. a non-success status).
 	IsSiteAnswer = web.IsSiteAnswer
@@ -178,7 +176,7 @@ var (
 	IsDrift = web.IsDrift
 )
 
-// Admission priority classes (Config.QueryClass, WithQueryClass).
+// Admission priority classes (WithQueryClass).
 const (
 	// ClassInteractive: a user is waiting; shed last.
 	ClassInteractive = core.ClassInteractive
@@ -187,7 +185,7 @@ const (
 )
 
 // WithQueryClass marks ctx so queries issued under it are admitted at the
-// given class, overriding Config.QueryClass.
+// given class; unmarked queries are ClassInteractive.
 var WithQueryClass = core.WithQueryClass
 
 // Durable state tier (Config.StateDir). The store sits strictly below the
@@ -221,8 +219,10 @@ var (
 	ErrBudgetExhausted = web.ErrBudgetExhausted
 )
 
-// Access-relevance pruning reasons (Config.Prune). They key
-// QueryStats.PrunedByReason and label the fetches_pruned_total metric,
+// Access-relevance pruning reasons. Every query is pruned: accesses that
+// cannot contribute an answer tuple are skipped, and the answer is the
+// unpruned one. The reasons key QueryStats.PrunedByReason and label the
+// fetches_pruned_total metric (both series registered, at 0, by New),
 // and appear as pruned-reason attributes on pruned=1 spans in traces and
 // EXPLAIN ANALYZE output.
 const (
